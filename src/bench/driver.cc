@@ -4,6 +4,7 @@
 #include <cassert>
 #include <cstdio>
 #include <cstring>
+#include <optional>
 #include <thread>
 
 #include "src/bench/metrics_dump.h"
@@ -13,7 +14,7 @@
 #include "src/metrics/clock.h"
 #include "src/metrics/metrics.h"
 #include "src/pmem/value_store.h"
-#include "src/pmsim/media_model.h"
+#include "src/pmsim/check_report.h"
 #include "src/trace/trace.h"
 
 namespace cclbt::bench {
@@ -107,6 +108,27 @@ std::vector<std::unique_ptr<pmsim::ThreadContext>> MakeContexts(kvindex::Runtime
   }
   pmsim::ThreadContext::SetCurrent(nullptr);
   return ctxs;
+}
+
+// Appends a checker's section to the run's trace dump (when one was written)
+// and prints its summary to stderr: totals, `stats` (the checker's own
+// one-line stats), then one line per class that fired.
+void ReportCheck(const std::string& label, const std::string& trace_dump_path,
+                 const pmsim::CheckSection& section, const std::string& stats) {
+  if (!trace_dump_path.empty()) {
+    pmsim::AppendCheckSection(trace_dump_path, section);
+  }
+  const char* name = section.checker.c_str();
+  std::fprintf(stderr, "%s[%s]: %llu violation(s), %llu informational, %llu suppressed, %s\n",
+               name, label.c_str(), static_cast<unsigned long long>(section.total()),
+               static_cast<unsigned long long>(section.total_info()),
+               static_cast<unsigned long long>(section.total_suppressed()), stats.c_str());
+  for (const pmsim::CheckSection::ClassRow& row : section.classes) {
+    if (row.count != 0) {
+      std::fprintf(stderr, "%s[%s]:   %-20s %llu\n", name, label.c_str(), row.name.c_str(),
+                   static_cast<unsigned long long>(row.count));
+    }
+  }
 }
 
 }  // namespace
@@ -324,66 +346,17 @@ RunResult RunWorkload(kvindex::Runtime& runtime, kvindex::KvIndex& index,
     }
   };
 
-  // Stats timeline for the dump, sampled every ~1/32nd of the op count.
-  // Sequential scheduling only: samples from concurrent OS threads would
-  // interleave nondeterministically (and Snapshot() under contention is not
-  // worth a mutex on the op path).
-  std::vector<TimelineSample> timeline;
-  const bool sample_timeline = tracing && !config.os_parallel && config.ops > 0;
-  const uint64_t sample_every = std::max<uint64_t>(1, config.ops / 32);
-  uint64_t sampled_ops = 0;
   // Driver-paced GC epochs (gc_epoch_ops): sequential scheduling only — the
   // shared counter below would race under os_parallel.
   const uint64_t gc_epoch_ops = config.os_parallel ? 0 : config.gc_epoch_ops;
   uint64_t gc_epoch_counter = 0;
 
-  // Metrics virtual-time epochs: snapshot the windowed pmsim stats, registry
-  // counters and latency percentiles each time the running worker's clock
-  // crosses the next epoch boundary. Sequential scheduling only (same
-  // rationale as the timeline above); every field is virtual-time/count
-  // data, so the series is bit-identical run-to-run for a deterministic
-  // config.
-  const bool collect_epochs = metrics_on && !config.os_parallel && config.ops > 0;
-  const uint64_t epoch_ns = std::max<uint64_t>(1, config.metrics_epoch_ns);
-  uint64_t next_epoch_ns = epoch_ns;
-  metrics::EpochSeries epochs;
-  pmsim::StatsSnapshot epoch_prev_stats = before;
-  metrics::MetricsSnapshot epoch_prev_metrics;
-  auto record_epoch = [&](uint64_t t_ns) {
-    pmsim::StatsSnapshot cur = runtime.device().stats().Snapshot();
-    pmsim::StatsSnapshot win = cur.Delta(epoch_prev_stats);
-    metrics::MetricsSnapshot mcur = metrics::Snapshot();
-    metrics::EpochRecord e;
-    e.index = epochs.size();
-    e.t_ns = t_ns;
-    for (int k = 0; k < metrics::kNumOpKinds; k++) {
-      metrics::Histogram w = mcur.op_virtual[k].Delta(epoch_prev_metrics.op_virtual[k]);
-      e.ops.push_back(w.Count());
-      e.p50_ns.push_back(w.Count() == 0 ? 0 : w.Percentile(50));
-      e.p99_ns.push_back(w.Count() == 0 ? 0 : w.Percentile(99));
-      e.p999_ns.push_back(w.Count() == 0 ? 0 : w.Percentile(99.9));
-    }
-    e.user_bytes = win.user_bytes;
-    e.xpbuffer_write_bytes = win.xpbuffer_write_bytes;
-    e.media_write_bytes = win.media_write_bytes;
-    e.media_read_bytes = win.media_read_bytes;
-    e.line_flushes = win.line_flushes;
-    e.fences = win.fences;
-    for (int c = 0; c < trace::kNumComponents; c++) {
-      e.comp_bytes.push_back(win.media_write_bytes_by_component[c]);
-    }
-    pmsim::PmDevice::XpBufferTotals xb = runtime.device().SampleXpBuffers();
-    e.xpbuf_resident = xb.resident;
-    e.xpbuf_insertions = xb.insertions;
-    e.xpbuf_evictions = xb.evictions;
-    for (int c = 0; c < metrics::kNumCounters; c++) {
-      e.counters.push_back(mcur.counters[c] - epoch_prev_metrics.counters[c]);
-    }
-    index.SampleGauges(&e.gauges);
-    epochs.push_back(std::move(e));
-    epoch_prev_stats = cur;
-    epoch_prev_metrics = std::move(mcur);
-  };
+  // Metrics virtual-time epochs: sequential scheduling only (samples from
+  // concurrent OS threads would interleave nondeterministically).
+  std::optional<EpochRecorder> epochs;
+  if (metrics_on && !config.os_parallel && config.ops > 0) {
+    epochs.emplace(runtime.device(), before, [&](Gauges* g) { index.SampleGauges(g); });
+  }
 
   {
     auto ctxs = MakeContexts(runtime, config);
@@ -395,24 +368,8 @@ RunResult RunWorkload(kvindex::Runtime& runtime, kvindex::KvIndex& index,
         if (gc_epoch_ops != 0 && ++gc_epoch_counter % gc_epoch_ops == 0) {
           index.GcTick();
         }
-        if (collect_epochs) {
-          uint64_t now = pmsim::ThreadContext::Current()->now_ns();
-          if (now >= next_epoch_ns) {
-            record_epoch(now);
-            next_epoch_ns = (now / epoch_ns + 1) * epoch_ns;
-          }
-        }
-        if (sample_timeline && ++sampled_ops % sample_every == 0) {
-          pmsim::StatsSnapshot now =
-              runtime.device().stats().Snapshot().Delta(before);
-          TimelineSample sample;
-          sample.t_ns = pmsim::ThreadContext::Current()->now_ns();
-          sample.ops_done = sampled_ops;
-          sample.media_write_bytes = now.media_write_bytes;
-          sample.xpbuffer_write_bytes = now.xpbuffer_write_bytes;
-          sample.line_flushes = now.line_flushes;
-          sample.fences = now.fences;
-          timeline.push_back(sample);
+        if (epochs) {
+          epochs->Tick(pmsim::ThreadContext::Current()->now_ns());
         }
       }
       bool more = st.cursor < st.limit;
@@ -431,10 +388,8 @@ RunResult RunWorkload(kvindex::Runtime& runtime, kvindex::KvIndex& index,
     worker_ns = std::max(worker_ns, st.final_vtime);
   }
   uint64_t elapsed_ns = std::max(busy_ns, worker_ns);
-  if (collect_epochs) {
-    // Close the final (partial) window so the epoch series tiles the whole
-    // measured phase: summed windowed bytes == the run's stats delta.
-    record_epoch(worker_ns);
+  if (epochs) {
+    result.epochs = epochs->Finish(worker_ns);
   }
   result.max_worker_vtime_ms = static_cast<double>(worker_ns) / 1e6;
   result.max_dimm_busy_ms = static_cast<double>(busy_ns) / 1e6;
@@ -459,35 +414,12 @@ RunResult RunWorkload(kvindex::Runtime& runtime, kvindex::KvIndex& index,
     for (int k = 0; k < metrics::kNumOpKinds; k++) {
       result.latency.Merge(result.metrics_snapshot.op_virtual[k]);
     }
-    result.epochs = std::move(epochs);
   }
   if (metrics_dump) {
-    metrics::PmMetricsFile file;
-    file.header.label = config.trace_label.empty() ? "run" : config.trace_label;
-    file.header.backend = pmsim::MediaBackendName(runtime.device().config().backend);
-    file.header.epoch_ns = epoch_ns;
-    file.header.threads = static_cast<uint64_t>(config.threads);
-    file.header.ops = config.ops;
-    for (int k = 0; k < metrics::kNumOpKinds; k++) {
-      file.header.op_kinds.emplace_back(metrics::OpKindName(static_cast<metrics::OpKind>(k)));
-    }
-    for (int c = 0; c < metrics::kNumCounters; c++) {
-      file.header.counters.emplace_back(metrics::CounterName(static_cast<metrics::Counter>(c)));
-    }
-    for (int c = 0; c < trace::kNumComponents; c++) {
-      file.header.components.emplace_back(
-          trace::ComponentName(static_cast<trace::Component>(c)));
-    }
-    file.epochs = result.epochs;
-    file.has_summary = true;
-    file.summary.elapsed_virtual_ns = elapsed_ns;
-    for (int k = 0; k < metrics::kNumOpKinds; k++) {
-      file.summary.virt.push_back(
-          metrics::SummarizeHistogram(result.metrics_snapshot.op_virtual[k]));
-      file.summary.wall.push_back(
-          metrics::SummarizeHistogram(result.metrics_snapshot.op_wall[k]));
-    }
-    result.metrics_dump_path = WriteMetricsDump(file);
+    result.metrics_dump_path = WriteMetricsDump(
+        config.trace_label.empty() ? "run" : config.trace_label, runtime.device(),
+        static_cast<uint64_t>(config.threads), config.ops, result.epochs,
+        result.metrics_snapshot, elapsed_ns);
   }
   result.footprint = index.Footprint();
   if (pmsim::PmCheck* check = runtime.device().pmcheck(); check != nullptr) {
@@ -500,7 +432,7 @@ RunResult RunWorkload(kvindex::Runtime& runtime, kvindex::KvIndex& index,
   if (tracing) {
     result.trace_dump_path =
         WriteTraceDump(runtime, config.trace_label.empty() ? "run" : config.trace_label,
-                       result.stats, timeline, result.elapsed_virtual_ms);
+                       result.stats, result.elapsed_virtual_ms);
     trace::SetEnabled(false);
     trace::ClearRings();
   }
@@ -541,46 +473,14 @@ RunResult RunIndexWorkload(const std::string& index_name, const RunConfig& confi
     // charged (determinism contract, DESIGN.md §10).
     runtime.device().DrainBuffers();
     result.pmcheck = check->Snapshot();
-    if (!result.trace_dump_path.empty()) {
-      AppendPmCheckSection(result.trace_dump_path, result.pmcheck);
-    }
-    std::fprintf(stderr,
-                 "pmcheck[%s]: %llu violation(s), %llu informational, %llu suppressed, "
-                 "%llu fence epochs\n",
-                 label.c_str(), static_cast<unsigned long long>(result.pmcheck.total()),
-                 static_cast<unsigned long long>(result.pmcheck.total_info()),
-                 static_cast<unsigned long long>(result.pmcheck.total_suppressed()),
-                 static_cast<unsigned long long>(result.pmcheck.fence_epochs));
-    for (int c = 0; c < pmsim::kNumPmCheckClasses; c++) {
-      if (result.pmcheck.counts[static_cast<size_t>(c)] != 0) {
-        std::fprintf(stderr, "pmcheck[%s]:   %-20s %llu\n", label.c_str(),
-                     pmsim::PmCheckClassName(static_cast<pmsim::PmCheckClass>(c)),
-                     static_cast<unsigned long long>(
-                         result.pmcheck.counts[static_cast<size_t>(c)]));
-      }
-    }
+    ReportCheck(label, result.trace_dump_path, result.pmcheck.ToSection(),
+                std::to_string(result.pmcheck.fence_epochs) + " fence epochs");
   }
   if (pmsim::LockCheck* locks = runtime.device().lockcheck(); locks != nullptr) {
     result.lockcheck = locks->Snapshot();
-    if (!result.trace_dump_path.empty()) {
-      AppendLockCheckSection(result.trace_dump_path, result.lockcheck);
-    }
-    std::fprintf(stderr,
-                 "lockcheck[%s]: %llu violation(s), %llu informational, %llu suppressed, "
-                 "%llu locks / %llu lines tracked\n",
-                 label.c_str(), static_cast<unsigned long long>(result.lockcheck.total()),
-                 static_cast<unsigned long long>(result.lockcheck.total_info()),
-                 static_cast<unsigned long long>(result.lockcheck.total_suppressed()),
-                 static_cast<unsigned long long>(result.lockcheck.locks_tracked),
-                 static_cast<unsigned long long>(result.lockcheck.lines_tracked));
-    for (int c = 0; c < pmsim::kNumLockCheckClasses; c++) {
-      if (result.lockcheck.counts[static_cast<size_t>(c)] != 0) {
-        std::fprintf(stderr, "lockcheck[%s]:   %-20s %llu\n", label.c_str(),
-                     pmsim::LockCheckClassName(static_cast<pmsim::LockCheckClass>(c)),
-                     static_cast<unsigned long long>(
-                         result.lockcheck.counts[static_cast<size_t>(c)]));
-      }
-    }
+    ReportCheck(label, result.trace_dump_path, result.lockcheck.ToSection(),
+                std::to_string(result.lockcheck.locks_tracked) + " locks / " +
+                    std::to_string(result.lockcheck.lines_tracked) + " lines tracked");
   }
   return result;
 }

@@ -53,10 +53,9 @@ struct RunConfig {
   // file (see src/bench/metrics_dump.h). Epoch records are virtual-time-only
   // and bit-identical run-to-run for a deterministic config; the registry is
   // CPU-side only, so enabling it never shifts a virtual metric.
+  // Epochs are kMetricsEpochNs wide (src/bench/metrics_dump.h); under
+  // os_parallel only the end-of-run totals are collected.
   bool metrics = false;
-  // Virtual-time width of one metrics epoch (sequential scheduling only;
-  // under os_parallel only the end-of-run totals are collected).
-  uint64_t metrics_epoch_ns = 1'000'000;
   // Additionally break per-op latency down by trace::Component (enables
   // trace scope timing for the measurement phase; implies collect_latency
   // semantics for the component histograms only).

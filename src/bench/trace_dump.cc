@@ -50,9 +50,7 @@ std::string TraceDumpPrefix() {
 }
 
 std::string WriteTraceDump(kvindex::Runtime& runtime, const std::string& label,
-                           const pmsim::StatsSnapshot& stats,
-                           const std::vector<TimelineSample>& timeline,
-                           double elapsed_virtual_ms) {
+                           const pmsim::StatsSnapshot& stats, double elapsed_virtual_ms) {
   std::string prefix = TraceDumpPrefix();
   if (prefix.empty()) {
     return std::string();
@@ -66,7 +64,9 @@ std::string WriteTraceDump(kvindex::Runtime& runtime, const std::string& label,
   }
 
   const pmsim::DeviceConfig& dc = runtime.device().config();
-  out << "pmtrace 1\n";
+  // Version 2: checker sections use the shared check* grammar
+  // (src/pmsim/check_report.h) and the stats timeline is gone.
+  out << "pmtrace 2\n";
   out << "label " << Sanitize(label) << "\n";
   out << "config pool_bytes " << dc.pool_bytes << "\n";
   out << "config num_sockets " << dc.num_sockets << "\n";
@@ -90,11 +90,6 @@ std::string WriteTraceDump(kvindex::Runtime& runtime, const std::string& label,
     out << "statcomp " << trace::ComponentName(static_cast<trace::Component>(c)) << " "
         << stats.media_write_bytes_by_component[c] << " "
         << stats.committed_lines_by_component[c] << "\n";
-  }
-
-  for (const TimelineSample& s : timeline) {
-    out << "sample " << s.t_ns << " " << s.ops_done << " " << s.media_write_bytes << " "
-        << s.xpbuffer_write_bytes << " " << s.line_flushes << " " << s.fences << "\n";
   }
 
   // Heatmap: fold per-XPLine write counts into at most kMaxHeatBins bins so
@@ -142,81 +137,6 @@ std::string WriteTraceDump(kvindex::Runtime& runtime, const std::string& label,
     return std::string();
   }
   return path;
-}
-
-bool AppendPmCheckSection(const std::string& path, const pmsim::PmCheckReport& report) {
-  if (!report.enabled) {
-    return true;  // nothing to append; `pmctl check` reports not-enabled
-  }
-  std::ofstream out(path, std::ios::app);
-  if (!out) {
-    return false;
-  }
-  // Version 2 adds the per-class informational column (backend-downgraded
-  // severities, DESIGN.md §14) and the pmcheckinfo diagnostic keyword;
-  // version-1 readers skip the unknown keyword and extra column.
-  out << "pmcheck 2\n";
-  out << "pmcheckstat fence_epochs " << report.fence_epochs << "\n";
-  out << "pmcheckstat lines_tracked " << report.lines_tracked << "\n";
-  // Explicit truncation marker: nonzero means the kMaxDiagnostics retention
-  // cap dropped materialized diagnostics (counts stay exact). `pmctl check`
-  // warns on it so a capped run is never read as clean-and-complete.
-  out << "pmcheckstat diagnostics_truncated " << report.diagnostics_truncated << "\n";
-  for (int c = 0; c < pmsim::kNumPmCheckClasses; c++) {
-    out << "pmcheckclass " << pmsim::PmCheckClassName(static_cast<pmsim::PmCheckClass>(c))
-        << " " << report.counts[static_cast<size_t>(c)] << " "
-        << report.suppressed[static_cast<size_t>(c)] << " "
-        << report.info[static_cast<size_t>(c)] << "\n";
-  }
-  for (const pmsim::PmCheckDiagnostic& d : report.diagnostics) {
-    out << (d.info ? "pmcheckinfo " : "pmcheckdiag ")
-        << pmsim::PmCheckClassName(d.cls) << " " << d.line << " "
-        << d.xpline << " " << d.dimm << " " << trace::ComponentName(d.comp) << " "
-        << d.worker << " " << d.fence_epoch << " " << d.detail << "\n";
-    for (const pmsim::PmCheckEvent& ev : d.recent) {
-      out << "pmcheckev " << pmsim::PmCheckEventKindName(ev.kind) << " "
-          << trace::ComponentName(ev.comp) << " " << ev.worker << " " << ev.detail << " "
-          << ev.fence_epoch << "\n";
-    }
-  }
-  out.flush();
-  return static_cast<bool>(out);
-}
-
-bool AppendLockCheckSection(const std::string& path, const pmsim::LockCheckReport& report) {
-  if (!report.enabled) {
-    return true;  // nothing to append; `pmctl locks` reports not-enabled
-  }
-  std::ofstream out(path, std::ios::app);
-  if (!out) {
-    return false;
-  }
-  out << "lockcheck 1\n";
-  out << "lockcheckstat locks_tracked " << report.locks_tracked << "\n";
-  out << "lockcheckstat lines_tracked " << report.lines_tracked << "\n";
-  out << "lockcheckstat order_edges " << report.order_edges << "\n";
-  out << "lockcheckstat seq_read_sections " << report.seq_read_sections << "\n";
-  out << "lockcheckstat seq_validate_failures " << report.seq_validate_failures << "\n";
-  out << "lockcheckstat diagnostics_truncated " << report.diagnostics_truncated << "\n";
-  for (int c = 0; c < pmsim::kNumLockCheckClasses; c++) {
-    out << "lockcheckclass "
-        << pmsim::LockCheckClassName(static_cast<pmsim::LockCheckClass>(c)) << " "
-        << report.counts[static_cast<size_t>(c)] << " "
-        << report.suppressed[static_cast<size_t>(c)] << " "
-        << report.info[static_cast<size_t>(c)] << "\n";
-  }
-  for (const pmsim::LockCheckDiagnostic& d : report.diagnostics) {
-    out << (d.info ? "lockcheckinfo " : "lockcheckdiag ") << pmsim::LockCheckClassName(d.cls)
-        << " " << d.line << " " << trace::ComponentName(d.comp) << " " << d.worker << " "
-        << d.lock << " " << d.lock2 << " " << d.detail << "\n";
-    for (const pmsim::LockCheckEvent& ev : d.recent) {
-      out << "lockcheckev " << pmsim::LockCheckEventKindName(ev.kind) << " "
-          << trace::ComponentName(ev.comp) << " " << ev.worker << " "
-          << (ev.lock[0] == '\0' ? "-" : ev.lock) << " " << ev.detail << "\n";
-    }
-  }
-  out.flush();
-  return static_cast<bool>(out);
 }
 
 }  // namespace cclbt::bench

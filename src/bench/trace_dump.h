@@ -1,34 +1,21 @@
 // Writer for .pmtrace dump files — the interchange format between a bench
 // run and tools/pmctl. A dump is produced at the end of a measured phase
 // when the CCL_TRACE environment variable names a path prefix; it carries
-// the phase's stats snapshot (with per-component attribution), a coarse
-// stats timeline, the XPLine write heatmap, and every worker's retained
-// trace events. Plain "keyword fields..." text lines: greppable, versioned,
-// no dependencies (see DESIGN.md "Observability" for the schema).
+// the phase's stats snapshot (with per-component attribution), the XPLine
+// write heatmap, and every worker's retained trace events; checked runs
+// append one section per checker (src/pmsim/check_report.h). The time series
+// of a run lives in its .pmmetrics dump (src/bench/metrics_dump.h). Plain
+// "keyword fields..." text lines: greppable, versioned, no dependencies (see
+// DESIGN.md "Observability" for the schema).
 #ifndef SRC_BENCH_TRACE_DUMP_H_
 #define SRC_BENCH_TRACE_DUMP_H_
 
-#include <cstdint>
 #include <string>
-#include <vector>
 
 #include "src/kvindex/runtime.h"
-#include "src/pmsim/lockcheck.h"
-#include "src/pmsim/pmcheck.h"
 #include "src/pmsim/stats.h"
 
 namespace cclbt::bench {
-
-// One point of the measured phase's stats timeline (sampled by the driver in
-// sequential-scheduler mode; virtual time is worker 0's clock).
-struct TimelineSample {
-  uint64_t t_ns = 0;
-  uint64_t ops_done = 0;
-  uint64_t media_write_bytes = 0;
-  uint64_t xpbuffer_write_bytes = 0;
-  uint64_t line_flushes = 0;
-  uint64_t fences = 0;
-};
 
 // True when CCL_TRACE is set in the environment: the driver enables event
 // tracing for the measured phase and writes one dump per run.
@@ -41,22 +28,7 @@ std::string TraceDumpPrefix();
 // a bench binary that runs many indexes produces distinct files). Collects
 // the trace rings itself. Returns the path written, or "" on failure.
 std::string WriteTraceDump(kvindex::Runtime& runtime, const std::string& label,
-                           const pmsim::StatsSnapshot& stats,
-                           const std::vector<TimelineSample>& timeline,
-                           double elapsed_virtual_ms);
-
-// Appends the pmcheck section (pmcheck/pmcheckstat/pmcheckclass/pmcheckdiag/
-// pmcheckev keyword lines, consumed by `pmctl check`) to an already-written
-// dump. Appended after the end-of-run close scan so the unflushed-at-close
-// class is included; older pmctl builds skip the unknown keywords. Returns
-// false if the dump cannot be written.
-bool AppendPmCheckSection(const std::string& path, const pmsim::PmCheckReport& report);
-
-// Appends the lockcheck section (lockcheck/lockcheckstat/lockcheckclass/
-// lockcheckdiag/lockcheckev keyword lines, consumed by `pmctl locks`) to an
-// already-written dump. Same versioned-keyword contract as the pmcheck
-// section. Returns false if the dump cannot be written.
-bool AppendLockCheckSection(const std::string& path, const pmsim::LockCheckReport& report);
+                           const pmsim::StatsSnapshot& stats, double elapsed_virtual_ms);
 
 }  // namespace cclbt::bench
 

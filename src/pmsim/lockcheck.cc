@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <sstream>
 
 #include "src/pmsim/config.h"
 #include "src/pmsim/device.h"
@@ -41,8 +42,6 @@ constexpr size_t kMaxHeld = 32;
 thread_local HeldLock tl_held[kMaxHeld];
 thread_local size_t tl_held_count = 0;
 
-constinit thread_local int tl_lc_expect_depth[kNumLockCheckClasses] = {};
-
 uint16_t CurrentWorker() {
   ThreadContext* ctx = ThreadContext::Current();
   return ctx ? static_cast<uint16_t>(ctx->worker_id()) : kNoWorker;
@@ -50,7 +49,7 @@ uint16_t CurrentWorker() {
 
 }  // namespace
 
-const char* LockCheckClassName(LockCheckClass cls) {
+const char* CheckClassName(LockCheckClass cls) {
   switch (cls) {
     case LockCheckClass::kUnlockedWrite: return "unlocked_write";
     case LockCheckClass::kLocksetEmpty: return "lockset_empty";
@@ -62,7 +61,7 @@ const char* LockCheckClassName(LockCheckClass cls) {
   return "?";
 }
 
-const char* LockCheckEventKindName(LockCheckEvent::Kind kind) {
+const char* CheckEventKindName(LockCheckEvent::Kind kind) {
   switch (kind) {
     case LockCheckEvent::Kind::kAcquire: return "acquire";
     case LockCheckEvent::Kind::kRelease: return "release";
@@ -77,16 +76,26 @@ const char* LockCheckEventKindName(LockCheckEvent::Kind kind) {
   return "?";
 }
 
-// --- LockCheckExpect --------------------------------------------------------
+// --- report dump form -------------------------------------------------------
 
-LockCheckExpect::LockCheckExpect(LockCheckClass cls) : cls_(cls) {
-  tl_lc_expect_depth[static_cast<int>(cls_)]++;
+std::string LockCheckEvent::Fields() const {
+  std::ostringstream out;
+  out << "lock=" << (lock[0] == '\0' ? "-" : lock) << " detail=0x" << std::hex << detail;
+  return out.str();
 }
 
-LockCheckExpect::~LockCheckExpect() { tl_lc_expect_depth[static_cast<int>(cls_)]--; }
+std::string LockCheckDiagnostic::Where() const {
+  std::ostringstream out;
+  out << "line=0x" << std::hex << line << std::dec << " lock=" << lock << " lock2=" << lock2;
+  return out.str();
+}
 
-bool LockCheckExpect::ActiveFor(LockCheckClass cls) {
-  return tl_lc_expect_depth[static_cast<int>(cls)] > 0;
+CheckSection LockCheckReport::ToSection() const {
+  return Section("lockcheck", {{"locks_tracked", locks_tracked},
+                               {"lines_tracked", lines_tracked},
+                               {"order_edges", order_edges},
+                               {"seq_read_sections", seq_read_sections},
+                               {"seq_validate_failures", seq_validate_failures}});
 }
 
 // --- free function ----------------------------------------------------------
@@ -189,52 +198,19 @@ void LockCheck::AddOrderEdgeLocked(uint32_t from_name, uint32_t to_name,
 
 void LockCheck::AppendEventLocked(LockCheckEvent::Kind kind, trace::Component comp,
                                   uint16_t worker, const char* lock, uint64_t detail) {
-  LockCheckEvent& ev = events_[events_seen_ % kEventRing];
-  ev.kind = kind;
-  ev.comp = comp;
-  ev.worker = worker;
-  ev.lock = lock;
-  ev.detail = detail;
-  events_seen_++;
+  recorder_.NextEvent() = LockCheckEvent{kind, comp, worker, lock, detail};
 }
 
 void LockCheck::DiagLocked(LockCheckClass cls, uint64_t line, trace::Component comp,
                            uint16_t worker, const char* lock, const char* lock2,
                            const char* detail, bool info) {
-  const int idx = static_cast<int>(cls);
-  if (LockCheckExpect::ActiveFor(cls)) {
-    suppressed_[idx]++;
+  LockCheckDiagnostic* d = recorder_.Raise(cls, info, comp, worker, detail);
+  if (d == nullptr) {
     return;
   }
-  if (info) {
-    info_counts_[idx]++;
-    if (info_materialized_ >= kMaxInfoDiagnostics) {
-      diagnostics_truncated_++;
-      return;
-    }
-    info_materialized_++;
-  } else {
-    counts_[idx]++;
-    if (diagnostics_.size() - info_materialized_ >= kMaxDiagnostics) {
-      diagnostics_truncated_++;
-      return;
-    }
-  }
-  LockCheckDiagnostic diag;
-  diag.cls = cls;
-  diag.line = line;
-  diag.comp = comp;
-  diag.worker = worker;
-  diag.lock = lock;
-  diag.lock2 = lock2;
-  diag.detail = detail;
-  diag.info = info;
-  const uint64_t have = std::min<uint64_t>(events_seen_, kRecentEventsPerDiagnostic);
-  diag.recent.reserve(have);
-  for (uint64_t i = events_seen_ - have; i < events_seen_; ++i) {
-    diag.recent.push_back(events_[i % kEventRing]);
-  }
-  diagnostics_.push_back(std::move(diag));
+  d->line = line;
+  d->lock = lock;
+  d->lock2 = lock2;
 }
 
 // --- sync::LockObserver -----------------------------------------------------
@@ -557,17 +533,12 @@ void LockCheck::ResetRange(uintptr_t offset, size_t len) {
 LockCheckReport LockCheck::Snapshot() const {
   std::lock_guard<CheckerMutex> lk(mu_);
   LockCheckReport report;
-  report.enabled = true;
-  report.counts = counts_;
-  report.suppressed = suppressed_;
-  report.info = info_counts_;
+  recorder_.Fill(&report);
   report.locks_tracked = locks_.size();
   report.lines_tracked = lines_.size();
   report.order_edges = order_edges_;
   report.seq_read_sections = seq_read_sections_;
   report.seq_validate_failures = seq_validate_failures_;
-  report.diagnostics_truncated = diagnostics_truncated_;
-  report.diagnostics = diagnostics_;
   return report;
 }
 

@@ -74,6 +74,7 @@
 #include <vector>
 
 #include "src/common/lock.h"
+#include "src/pmsim/check_report.h"
 #include "src/trace/component.h"
 
 namespace cclbt::pmsim {
@@ -94,7 +95,7 @@ enum class LockCheckClass : uint8_t {
 inline constexpr int kNumLockCheckClasses = static_cast<int>(LockCheckClass::kCount);
 
 // Stable slug used in .pmtrace dumps and `pmctl locks` output.
-const char* LockCheckClassName(LockCheckClass cls);
+const char* CheckClassName(LockCheckClass cls);
 
 // One entry of the recent-event ring attached to every diagnostic. Hot spin
 // locks (per-DIMM XPBuffer, trace rings) are checked but not recorded here —
@@ -117,91 +118,40 @@ struct LockCheckEvent {
   uint16_t worker = 0;
   const char* lock = "";  // static lock name, "" when not lock-related
   uint64_t detail = 0;
+
+  std::string Fields() const;  // dump form: "lock=.. detail=0x.."
 };
 
-const char* LockCheckEventKindName(LockCheckEvent::Kind kind);
+const char* CheckEventKindName(LockCheckEvent::Kind kind);
 
-struct LockCheckDiagnostic {
-  LockCheckClass cls = LockCheckClass::kUnlockedWrite;
+struct LockCheckDiagnostic : CheckDiagnostic<LockCheckClass, LockCheckEvent> {
   uint64_t line = 0;  // line-aligned pool offset (0 for lock_cycle)
-  trace::Component comp = trace::Component::kOther;
-  uint16_t worker = 0;
   // Primary lock name: the guarding seqlock (class 3), the held-from node of
   // the cycle edge (class 4), or the lockset remnant (classes 1-2, 5);
   // "none" when no lock is involved.
   const char* lock = "none";
   // Second lock name: the acquired-to node of the cycle edge (class 4).
   const char* lock2 = "none";
-  // Static single-token cause string (no spaces; dump-format safe).
-  const char* detail = "";
-  // True for informational findings (class 5 without pmcheck confirmation).
-  bool info = false;
-  // Up to kRecentEventsPerDiagnostic events preceding the violation,
-  // oldest first.
-  std::vector<LockCheckEvent> recent;
+
+  std::string Where() const;  // dump form: "line=0x.. lock=.. lock2=.."
 };
 
-struct LockCheckReport {
-  bool enabled = false;
-  std::array<uint64_t, kNumLockCheckClasses> counts{};
-  std::array<uint64_t, kNumLockCheckClasses> suppressed{};
-  std::array<uint64_t, kNumLockCheckClasses> info{};
+struct LockCheckReport : CheckReport<LockCheckClass, LockCheckDiagnostic> {
   uint64_t locks_tracked = 0;
   uint64_t lines_tracked = 0;
   uint64_t order_edges = 0;
   uint64_t seq_read_sections = 0;
   uint64_t seq_validate_failures = 0;
-  // Diagnostics beyond the retention cap are counted but not materialized;
-  // a nonzero value here means the list below is incomplete (never read a
-  // capped run as clean — the counts above stay exact).
-  uint64_t diagnostics_truncated = 0;
-  std::vector<LockCheckDiagnostic> diagnostics;
 
-  // Unsuppressed violations (what `pmctl locks` gates its exit status on).
-  uint64_t total() const {
-    uint64_t sum = 0;
-    for (uint64_t c : counts) {
-      sum += c;
-    }
-    return sum;
-  }
-  uint64_t total_suppressed() const {
-    uint64_t sum = 0;
-    for (uint64_t c : suppressed) {
-      sum += c;
-    }
-    return sum;
-  }
-  uint64_t total_info() const {
-    uint64_t sum = 0;
-    for (uint64_t c : info) {
-      sum += c;
-    }
-    return sum;
-  }
+  CheckSection ToSection() const;
 };
 
-// Scoped whitelist for an *intentional* protocol exception, mirroring
-// PmCheckExpect: while alive on the calling thread, diagnostics of `cls`
-// raised by this thread are counted as suppressed instead of reported.
+// Scoped whitelist for an intentional protocol exception (see CheckExpect).
 // Additionally, PM reads under an active kLocksetEmpty scope skip the
 // lockset state machine entirely — the annotation marks reads that are
 // synchronized by a protocol the checker cannot see (recovery's
-// timestamp-ordered WAL scan). Zero device dependency: annotated code builds
-// and runs unchanged when lockcheck is off.
-class LockCheckExpect {
- public:
-  explicit LockCheckExpect(LockCheckClass cls);
-  ~LockCheckExpect();
-
-  LockCheckExpect(const LockCheckExpect&) = delete;
-  LockCheckExpect& operator=(const LockCheckExpect&) = delete;
-
-  static bool ActiveFor(LockCheckClass cls);
-
- private:
-  LockCheckClass cls_;
-};
+// timestamp-ordered WAL scan).
+using LockCheckExpect = CheckExpect<LockCheckClass>;
 
 // Ownership-transfer reset: allocators call this when a PM range changes
 // logical owner (slab slot handed out, WAL chunk recycled) so stale lockset
@@ -275,11 +225,6 @@ class LockCheck final : public sync::LockObserver {
   };
   static constexpr uint8_t kLocksetUninit = 0xFF;
 
-  static constexpr size_t kEventRing = 64;
-  static constexpr size_t kRecentEventsPerDiagnostic = 8;
-  static constexpr size_t kMaxDiagnostics = 256;
-  static constexpr size_t kMaxInfoDiagnostics = 16;
-
   uint32_t InternLocked(const void* lock, const char* name, sync::LockKind kind);
   void AppendEventLocked(LockCheckEvent::Kind kind, trace::Component comp,
                          uint16_t worker, const char* lock, uint64_t detail);
@@ -318,14 +263,7 @@ class LockCheck final : public sync::LockObserver {
   uint64_t seq_read_sections_ = 0;
   uint64_t seq_validate_failures_ = 0;
 
-  std::array<uint64_t, kNumLockCheckClasses> counts_{};
-  std::array<uint64_t, kNumLockCheckClasses> suppressed_{};
-  std::array<uint64_t, kNumLockCheckClasses> info_counts_{};
-  uint64_t diagnostics_truncated_ = 0;
-  size_t info_materialized_ = 0;
-  std::vector<LockCheckDiagnostic> diagnostics_;
-  std::array<LockCheckEvent, kEventRing> events_{};
-  uint64_t events_seen_ = 0;
+  CheckRecorder<LockCheckClass, LockCheckEvent, LockCheckDiagnostic> recorder_;
 };
 
 }  // namespace cclbt::pmsim

@@ -1,6 +1,7 @@
 #include "src/pmsim/pmcheck.h"
 
 #include <cstring>
+#include <sstream>
 
 #include "src/pmsim/device.h"
 #include "src/pmsim/media_model.h"
@@ -9,13 +10,7 @@
 
 namespace cclbt::pmsim {
 
-namespace {
-// Per-thread nesting depth of PmCheckExpect scopes, one slot per class.
-// constinit: no TLS init guard on the ActiveFor fast path.
-constinit thread_local int tl_expect_depth[kNumPmCheckClasses] = {};
-}  // namespace
-
-const char* PmCheckClassName(PmCheckClass cls) {
+const char* CheckClassName(PmCheckClass cls) {
   switch (cls) {
     case PmCheckClass::kRedundantFlush: return "redundant_flush";
     case PmCheckClass::kUselessFence: return "useless_fence";
@@ -27,7 +22,7 @@ const char* PmCheckClassName(PmCheckClass cls) {
   return "?";
 }
 
-const char* PmCheckEventKindName(PmCheckEvent::Kind kind) {
+const char* CheckEventKindName(PmCheckEvent::Kind kind) {
   switch (kind) {
     case PmCheckEvent::Kind::kFlush: return "flush";
     case PmCheckEvent::Kind::kFence: return "fence";
@@ -38,14 +33,21 @@ const char* PmCheckEventKindName(PmCheckEvent::Kind kind) {
   return "?";
 }
 
-PmCheckExpect::PmCheckExpect(PmCheckClass cls) : cls_(cls) {
-  tl_expect_depth[static_cast<int>(cls_)]++;
+std::string PmCheckEvent::Fields() const {
+  std::ostringstream out;
+  out << "detail=0x" << std::hex << detail << std::dec << " epoch=" << fence_epoch;
+  return out.str();
 }
 
-PmCheckExpect::~PmCheckExpect() { tl_expect_depth[static_cast<int>(cls_)]--; }
+std::string PmCheckDiagnostic::Where() const {
+  std::ostringstream out;
+  out << "line=0x" << std::hex << line << std::dec << " xpline=" << xpline << " dimm=" << dimm
+      << " fence_epoch=" << fence_epoch;
+  return out.str();
+}
 
-bool PmCheckExpect::ActiveFor(PmCheckClass cls) {
-  return tl_expect_depth[static_cast<int>(cls)] > 0;
+CheckSection PmCheckReport::ToSection() const {
+  return Section("pmcheck", {{"fence_epochs", fence_epochs}, {"lines_tracked", lines_tracked}});
 }
 
 PmCheck::PmCheck(PmDevice& device)
@@ -61,7 +63,6 @@ PmCheck::PmCheck(PmDevice& device)
         device.media().check_action(static_cast<PmCheckClass>(c));
   }
   lines_.reserve(1 << 14);
-  diagnostics_.reserve(64);
 }
 
 uint64_t PmCheck::HashLine(const std::byte* line) {
@@ -78,13 +79,7 @@ uint64_t PmCheck::HashLine(const std::byte* line) {
 
 void PmCheck::AppendEventLocked(PmCheckEvent::Kind kind, trace::Component comp, uint16_t worker,
                                 uint64_t detail) {
-  PmCheckEvent& slot = events_[events_seen_ % kEventRing];
-  slot.kind = kind;
-  slot.comp = comp;
-  slot.worker = worker;
-  slot.detail = detail;
-  slot.fence_epoch = fence_epochs_;
-  events_seen_++;
+  recorder_.NextEvent() = PmCheckEvent{kind, comp, worker, detail, fence_epochs_};
 }
 
 void PmCheck::DiagLocked(PmCheckClass cls, uint64_t line, trace::Component comp, uint16_t worker,
@@ -93,42 +88,15 @@ void PmCheck::DiagLocked(PmCheckClass cls, uint64_t line, trace::Component comp,
   if (action == PmCheckAction::kOff) {
     return;
   }
-  if (PmCheckExpect::ActiveFor(cls)) {
-    suppressed_[static_cast<int>(cls)]++;
+  PmCheckDiagnostic* d =
+      recorder_.Raise(cls, action == PmCheckAction::kInfo, comp, worker, detail);
+  if (d == nullptr) {
     return;
   }
-  const bool info = action == PmCheckAction::kInfo;
-  if (info) {
-    info_counts_[static_cast<int>(cls)]++;
-    if (info_materialized_ >= kMaxInfoDiagnostics) {
-      return;  // counted above; info overflow is not "dropped" data
-    }
-    info_materialized_++;
-  } else {
-    counts_[static_cast<int>(cls)]++;
-    if (diagnostics_.size() - info_materialized_ >= kMaxDiagnostics) {
-      diagnostics_truncated_++;
-      return;
-    }
-  }
-  PmCheckDiagnostic d;
-  d.info = info;
-  d.cls = cls;
-  d.line = line;
-  d.xpline = line / xpline_bytes_;
-  d.dimm = device_.DimmOf(line);
-  d.comp = comp;
-  d.worker = worker;
-  d.fence_epoch = fence_epochs_;
-  d.detail = detail;
-  size_t n = events_seen_ < kRecentEventsPerDiagnostic
-                 ? static_cast<size_t>(events_seen_)
-                 : kRecentEventsPerDiagnostic;
-  d.recent.reserve(n);
-  for (size_t i = 0; i < n; i++) {
-    d.recent.push_back(events_[(events_seen_ - n + i) % kEventRing]);
-  }
-  diagnostics_.push_back(std::move(d));
+  d->line = line;
+  d->xpline = line / xpline_bytes_;
+  d->dimm = device_.DimmOf(line);
+  d->fence_epoch = fence_epochs_;
 }
 
 void PmCheck::OnFlush(const ThreadContext& ctx, uintptr_t line, bool newly_pending) {
@@ -296,14 +264,9 @@ bool PmCheck::LineRedirtiedSinceFlush(uintptr_t line) const {
 PmCheckReport PmCheck::Snapshot() const {
   std::lock_guard<CheckerMutex> guard(mu_);
   PmCheckReport report;
-  report.enabled = true;
-  report.counts = counts_;
-  report.suppressed = suppressed_;
-  report.info = info_counts_;
+  recorder_.Fill(&report);
   report.fence_epochs = fence_epochs_;
   report.lines_tracked = lines_.size();
-  report.diagnostics_truncated = diagnostics_truncated_;
-  report.diagnostics = diagnostics_;
   return report;
 }
 

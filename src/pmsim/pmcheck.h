@@ -61,9 +61,11 @@
 #include <cstddef>
 #include <cstdint>
 #include <mutex>
+#include <string>
 #include <unordered_map>
 #include <vector>
 
+#include "src/pmsim/check_report.h"
 #include "src/trace/component.h"
 
 namespace cclbt::pmsim {
@@ -83,7 +85,7 @@ enum class PmCheckClass : uint8_t {
 inline constexpr int kNumPmCheckClasses = static_cast<int>(PmCheckClass::kCount);
 
 // Stable slug used in .pmtrace dumps and pmctl check output.
-const char* PmCheckClassName(PmCheckClass cls);
+const char* CheckClassName(PmCheckClass cls);
 
 // Severity of one diagnostic class on one persistence backend. The table is
 // supplied by the device's MediaModel (DESIGN.md §14): the same code pattern
@@ -111,85 +113,30 @@ struct PmCheckEvent {
   uint16_t worker = 0;
   uint64_t detail = 0;
   uint64_t fence_epoch = 0;
+
+  std::string Fields() const;  // dump form: "detail=0x.. epoch=.."
 };
 
-const char* PmCheckEventKindName(PmCheckEvent::Kind kind);
+const char* CheckEventKindName(PmCheckEvent::Kind kind);
 
-struct PmCheckDiagnostic {
-  PmCheckClass cls = PmCheckClass::kRedundantFlush;
+struct PmCheckDiagnostic : CheckDiagnostic<PmCheckClass, PmCheckEvent> {
   uint64_t line = 0;    // line-aligned pool offset (0 for useless_fence)
   uint64_t xpline = 0;  // media unit index of `line`
   int dimm = 0;
-  trace::Component comp = trace::Component::kOther;
-  uint16_t worker = 0;
   uint64_t fence_epoch = 0;
-  // Static single-token cause string (no spaces; dump-format safe).
-  const char* detail = "";
-  // True when the backend's rule table downgraded this class to kInfo.
-  bool info = false;
-  // Up to kRecentEventsPerDiagnostic events preceding the violation,
-  // oldest first.
-  std::vector<PmCheckEvent> recent;
+
+  std::string Where() const;  // dump form: "line=0x.. xpline=.. dimm=.. fence_epoch=.."
 };
 
-struct PmCheckReport {
-  bool enabled = false;
-  std::array<uint64_t, kNumPmCheckClasses> counts{};
-  std::array<uint64_t, kNumPmCheckClasses> suppressed{};
-  // Informational occurrences (classes the backend downgrades to kInfo).
-  // Never part of total(), never gate an exit status.
-  std::array<uint64_t, kNumPmCheckClasses> info{};
+struct PmCheckReport : CheckReport<PmCheckClass, PmCheckDiagnostic> {
   uint64_t fence_epochs = 0;
   uint64_t lines_tracked = 0;
-  // Diagnostics beyond the retention cap are counted but not materialized;
-  // a nonzero value means the list below is incomplete (never read a capped
-  // run as clean — the counts above stay exact).
-  uint64_t diagnostics_truncated = 0;
-  std::vector<PmCheckDiagnostic> diagnostics;
 
-  // Unsuppressed violations (what `pmctl check` gates its exit status on).
-  uint64_t total() const {
-    uint64_t sum = 0;
-    for (uint64_t c : counts) {
-      sum += c;
-    }
-    return sum;
-  }
-  uint64_t total_suppressed() const {
-    uint64_t sum = 0;
-    for (uint64_t c : suppressed) {
-      sum += c;
-    }
-    return sum;
-  }
-  uint64_t total_info() const {
-    uint64_t sum = 0;
-    for (uint64_t c : info) {
-      sum += c;
-    }
-    return sum;
-  }
+  CheckSection ToSection() const;
 };
 
-// Scoped whitelist for an *intentional* violation: while alive on the calling
-// thread, diagnostics of `cls` raised by this thread's device calls are
-// counted as suppressed instead of reported. RAII + thread-local depth, so
-// scopes nest and never leak suppression across threads. Zero device
-// dependency: annotating code builds and runs unchanged when pmcheck is off.
-class PmCheckExpect {
- public:
-  explicit PmCheckExpect(PmCheckClass cls);
-  ~PmCheckExpect();
-
-  PmCheckExpect(const PmCheckExpect&) = delete;
-  PmCheckExpect& operator=(const PmCheckExpect&) = delete;
-
-  // True if the calling thread is inside a PmCheckExpect scope for `cls`.
-  static bool ActiveFor(PmCheckClass cls);
-
- private:
-  PmCheckClass cls_;
-};
+// Scoped whitelist for an intentional violation (see CheckExpect).
+using PmCheckExpect = CheckExpect<PmCheckClass>;
 
 // The checker proper; owned by PmDevice when enabled, absent otherwise.
 // All hooks serialize on one mutex — pmcheck is a checker mode, not a
@@ -252,17 +199,11 @@ class PmCheck {
     const ThreadContext* owner = nullptr;  // context owning the pending flush
   };
 
-  static constexpr size_t kEventRing = 64;
-  static constexpr size_t kRecentEventsPerDiagnostic = 8;
-  static constexpr size_t kMaxDiagnostics = 256;
-  // Informational diagnostics materialize into their own (small) budget so a
-  // flood of downgraded findings cannot crowd out real violations.
-  static constexpr size_t kMaxInfoDiagnostics = 16;
-
   static uint64_t HashLine(const std::byte* line);
 
   void AppendEventLocked(PmCheckEvent::Kind kind, trace::Component comp, uint16_t worker,
                          uint64_t detail);
+  // Routes one finding through the backend's rule table into recorder_.
   void DiagLocked(PmCheckClass cls, uint64_t line, trace::Component comp, uint16_t worker,
                   const char* detail);
   // Content scan of the whole pool against the shadow image; reports every
@@ -289,14 +230,7 @@ class PmCheck {
   mutable CheckerMutex mu_;
   std::unordered_map<uint64_t, LineRecord> lines_;
   uint64_t fence_epochs_ = 0;
-  std::array<uint64_t, kNumPmCheckClasses> counts_{};
-  std::array<uint64_t, kNumPmCheckClasses> suppressed_{};
-  std::array<uint64_t, kNumPmCheckClasses> info_counts_{};
-  uint64_t diagnostics_truncated_ = 0;
-  size_t info_materialized_ = 0;
-  std::vector<PmCheckDiagnostic> diagnostics_;
-  std::array<PmCheckEvent, kEventRing> events_{};
-  uint64_t events_seen_ = 0;
+  CheckRecorder<PmCheckClass, PmCheckEvent, PmCheckDiagnostic> recorder_;
 };
 
 }  // namespace cclbt::pmsim

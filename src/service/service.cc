@@ -8,9 +8,7 @@
 #include "src/bench/metrics_dump.h"
 #include "src/metrics/clock.h"
 #include "src/metrics/metrics.h"
-#include "src/pmsim/media_model.h"
 #include "src/pmsim/thread_context.h"
-#include "src/trace/trace.h"
 
 namespace cclbt::service {
 
@@ -154,7 +152,6 @@ void ShardedKvService::ServeBatch(int s, uint64_t start_ns, bool closed_loop) {
 
 ServiceResult ShardedKvService::Run(const OpenLoopConfig& workload) {
   const bool closed_loop = workload.offered_mops <= 0;
-  const bool metrics_dump = bench::MetricsDumpRequested();
   metrics::Reset();
   metrics::SetEnabled(true);
   pmsim::StatsSnapshot before = rt_.device().stats().Snapshot();
@@ -165,59 +162,21 @@ ServiceResult ShardedKvService::Run(const OpenLoopConfig& workload) {
     sh->queue.clear();
   }
 
-  const bool collect_epochs = config_.collect_epochs;
-  const uint64_t epoch_ns = std::max<uint64_t>(1, config_.metrics_epoch_ns);
-  uint64_t next_epoch_ns = epoch_ns;
-  metrics::EpochSeries epochs;
-  pmsim::StatsSnapshot epoch_prev_stats = before;
-  metrics::MetricsSnapshot epoch_prev_metrics;
-  auto record_epoch = [&](uint64_t t_ns) {
-    pmsim::StatsSnapshot cur = rt_.device().stats().Snapshot();
-    pmsim::StatsSnapshot win = cur.Delta(epoch_prev_stats);
-    metrics::MetricsSnapshot mcur = metrics::Snapshot();
-    metrics::EpochRecord e;
-    e.index = epochs.size();
-    e.t_ns = t_ns;
-    for (int k = 0; k < metrics::kNumOpKinds; k++) {
-      metrics::Histogram w = mcur.op_virtual[k].Delta(epoch_prev_metrics.op_virtual[k]);
-      e.ops.push_back(w.Count());
-      e.p50_ns.push_back(w.Count() == 0 ? 0 : w.Percentile(50));
-      e.p99_ns.push_back(w.Count() == 0 ? 0 : w.Percentile(99));
-      e.p999_ns.push_back(w.Count() == 0 ? 0 : w.Percentile(99.9));
-    }
-    e.user_bytes = win.user_bytes;
-    e.xpbuffer_write_bytes = win.xpbuffer_write_bytes;
-    e.media_write_bytes = win.media_write_bytes;
-    e.media_read_bytes = win.media_read_bytes;
-    e.line_flushes = win.line_flushes;
-    e.fences = win.fences;
-    for (int c = 0; c < trace::kNumComponents; c++) {
-      e.comp_bytes.push_back(win.media_write_bytes_by_component[c]);
-    }
-    pmsim::PmDevice::XpBufferTotals xb = rt_.device().SampleXpBuffers();
-    e.xpbuf_resident = xb.resident;
-    e.xpbuf_insertions = xb.insertions;
-    e.xpbuf_evictions = xb.evictions;
-    for (int c = 0; c < metrics::kNumCounters; c++) {
-      e.counters.push_back(mcur.counters[c] - epoch_prev_metrics.counters[c]);
-    }
-    // Per-shard service gauges (queue depth at the epoch instant, cumulative
-    // sheds) plus each shard index's own gauges, name-prefixed by shard.
+  // Per-shard service gauges (queue depth at the epoch instant, cumulative
+  // sheds) plus each shard index's own gauges, name-prefixed by shard.
+  bench::EpochRecorder epochs(rt_.device(), before, [this](bench::Gauges* gauges) {
     for (int s = 0; s < config_.shards; s++) {
       const Shard& sh = *shards_[static_cast<size_t>(s)];
       std::string p = "s" + std::to_string(s) + "_";
-      e.gauges.emplace_back(p + "queue_depth", sh.queue.size());
-      e.gauges.emplace_back(p + "shed", sh.stats.shed);
-      std::vector<std::pair<std::string, uint64_t>> tree_gauges;
+      gauges->emplace_back(p + "queue_depth", sh.queue.size());
+      gauges->emplace_back(p + "shed", sh.stats.shed);
+      bench::Gauges tree_gauges;
       trees_[static_cast<size_t>(s)]->SampleGauges(&tree_gauges);
       for (auto& [name, value] : tree_gauges) {
-        e.gauges.emplace_back(p + name, value);
+        gauges->emplace_back(p + name, value);
       }
     }
-    epochs.push_back(std::move(e));
-    epoch_prev_stats = cur;
-    epoch_prev_metrics = std::move(mcur);
-  };
+  });
 
   OpenLoopGenerator gen(workload);
   Request next;
@@ -261,13 +220,7 @@ ServiceResult ShardedKvService::Run(const OpenLoopConfig& workload) {
       break;  // stream exhausted and every queue drained
     }
     ServeBatch(best, best_t, closed_loop);
-    if (collect_epochs) {
-      uint64_t now = shards_[static_cast<size_t>(best)]->ctx->now_ns();
-      if (now >= next_epoch_ns) {
-        record_epoch(now);
-        next_epoch_ns = (now / epoch_ns + 1) * epoch_ns;
-      }
-    }
+    epochs.Tick(shards_[static_cast<size_t>(best)]->ctx->now_ns());
   }
   pmsim::ThreadContext::SetCurrent(nullptr);
 
@@ -282,10 +235,7 @@ ServiceResult ShardedKvService::Run(const OpenLoopConfig& workload) {
     result.completed += sh->stats.completed;
     result.shards.push_back(sh->stats);
   }
-  if (collect_epochs) {
-    // Close the final (partial) window so the series tiles the whole run.
-    record_epoch(frontier_ns);
-  }
+  result.epochs = epochs.Finish(frontier_ns);
   result.shed_rate =
       offered == 0 ? 0.0 : static_cast<double>(result.shed) / static_cast<double>(offered);
   result.offered_mops = workload.offered_mops;
@@ -299,36 +249,11 @@ ServiceResult ShardedKvService::Run(const OpenLoopConfig& workload) {
   result.cli_amplification = result.stats.CliAmplification();
   result.xbi_amplification = result.stats.XbiAmplification();
   result.metrics_snapshot = metrics::Snapshot();
-  result.epochs = std::move(epochs);
   metrics::SetEnabled(false);
-
-  if (metrics_dump) {
-    metrics::PmMetricsFile file;
-    file.header.label = config_.label.empty() ? "service" : config_.label;
-    file.header.backend = pmsim::MediaBackendName(rt_.device().config().backend);
-    file.header.epoch_ns = epoch_ns;
-    file.header.threads = static_cast<uint64_t>(config_.shards);
-    file.header.ops = workload.ops;
-    for (int k = 0; k < metrics::kNumOpKinds; k++) {
-      file.header.op_kinds.emplace_back(metrics::OpKindName(static_cast<metrics::OpKind>(k)));
-    }
-    for (int c = 0; c < metrics::kNumCounters; c++) {
-      file.header.counters.emplace_back(metrics::CounterName(static_cast<metrics::Counter>(c)));
-    }
-    for (int c = 0; c < trace::kNumComponents; c++) {
-      file.header.components.emplace_back(trace::ComponentName(static_cast<trace::Component>(c)));
-    }
-    file.epochs = result.epochs;
-    file.has_summary = true;
-    file.summary.elapsed_virtual_ns = elapsed_ns;
-    for (int k = 0; k < metrics::kNumOpKinds; k++) {
-      file.summary.virt.push_back(
-          metrics::SummarizeHistogram(result.metrics_snapshot.op_virtual[k]));
-      file.summary.wall.push_back(
-          metrics::SummarizeHistogram(result.metrics_snapshot.op_wall[k]));
-    }
-    result.metrics_dump_path = bench::WriteMetricsDump(file);
-  }
+  result.metrics_dump_path = bench::WriteMetricsDump(
+      config_.label.empty() ? "service" : config_.label, rt_.device(),
+      static_cast<uint64_t>(config_.shards), workload.ops, result.epochs,
+      result.metrics_snapshot, elapsed_ns);
   return result;
 }
 

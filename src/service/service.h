@@ -67,9 +67,6 @@ struct ServiceConfig {
   // tree's nbatch keeps buffer-node slots full).
   size_t batch_ops = 8;
   size_t scan_len = 16;
-  // Virtual-time epoch width of the metrics series.
-  uint64_t metrics_epoch_ns = 1'000'000;
-  bool collect_epochs = true;
   std::string label = "service";
   // Record the last acked value per key (crash tests verify no acked update
   // is lost across shard queues). Off by default: it is DRAM bookkeeping the

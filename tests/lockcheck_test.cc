@@ -1,10 +1,16 @@
 // Tests for lockcheck, the lockset / lock-order sanitizer (DESIGN.md §16):
 // one deliberately-buggy driver per diagnostic class asserting the exact
 // diagnostic fires, suppression via LockCheckExpect, ownership-transfer
-// resets, the disabled gate (no checker, no events), and clean-run checks
+// resets, the disabled gate (no checker, no events), the shared retention
+// cap, the dump-section round trip with its verdict, and clean-run checks
 // over a cclbtree fig10-micro workload and a 4-shard service run.
+#include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <fstream>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -287,6 +293,120 @@ TEST(LockCheck, CrashClearsLineHistory)
   StoreAndFlush(device, w1, 512, 0x12);
   LockCheckReport report = Report(device);
   EXPECT_EQ(report.total(), 0u);
+}
+
+// --- retention cap (shared rule, src/pmsim/check_report.h) -------------------
+
+// One violation past the cap: the first kMaxCheckDiagnostics materialize, the
+// overflow counts as truncated, and the class count stays exact.
+TEST(LockCheck, RetentionCapTruncatesViolationsOnly) {
+  PmDevice device{CheckedConfig()};
+  ThreadContext w0(device, 0, /*worker_id=*/0);
+  ThreadContext w1(device, 1, /*worker_id=*/1);
+  for (uintptr_t i = 0; i < kMaxCheckDiagnostics + 1; i++) {
+    const uintptr_t line = 4096 + i * 64;
+    StoreAndFlush(device, w0, line, 0x100 + i);
+    StoreAndFlush(device, w1, line, 0x200 + i);  // unlocked second writer
+  }
+  LockCheckReport report = Report(device);
+  EXPECT_EQ(Count(report, LockCheckClass::kUnlockedWrite), 257u);
+  EXPECT_EQ(report.total(), 257u);
+  EXPECT_EQ(report.diagnostics.size(), 256u);
+  EXPECT_EQ(report.diagnostics_truncated, 1u);
+}
+
+// Informational findings past their own cap keep an exact count and never
+// count as truncation (the rule pmcheck has always used).
+TEST(LockCheck, InfoOverflowIsNotTruncation) {
+  DeviceConfig config = CheckedConfig();
+  config.backend = MediaBackend::kAdrOptane;  // fences must publish pending lines
+  PmDevice device{config};
+  ThreadContext w0(device, 0, /*worker_id=*/0);
+  ThreadContext w1(device, 1, /*worker_id=*/1);
+  sync::Mutex mu{"test.publish"};
+  const size_t lines = kMaxCheckInfoDiagnostics + 4;
+  for (uintptr_t i = 0; i < lines; i++) {
+    const uintptr_t line = 4096 + i * 64;
+    StoreAndFlush(device, w0, line, 0x300 + i);
+    mu.lock();
+    StoreAndFlush(device, w1, line, 0x400 + i);  // candidate lockset {mu}
+    mu.unlock();
+  }
+  // w1 publishes every line after dropping the lock that guarded it: one
+  // informational fence_publish_gap per line.
+  device.Fence(w1);
+  LockCheckReport report = Report(device);
+  EXPECT_EQ(report.info[static_cast<size_t>(LockCheckClass::kFencePublishGap)], 20u);
+  EXPECT_EQ(report.total(), 0u);
+  EXPECT_EQ(report.diagnostics.size(), kMaxCheckInfoDiagnostics);
+  EXPECT_EQ(report.diagnostics_truncated, 0u);
+}
+
+// --- dump section round trip --------------------------------------------------
+
+// report -> section -> parse keeps counts, stats, diagnostics and their
+// recent events; the verdict is 3 on violations, 0 clean, 2 checker off.
+TEST(LockCheck, SectionRoundTripAndVerdict) {
+  if (simd::kTsanBuild) {
+    GTEST_SKIP() << "seeded lock-order inversion trips TSan's deadlock detector";
+  }
+  PmDevice device{CheckedConfig()};
+  ThreadContext w0(device, 0, /*worker_id=*/0);
+  ThreadContext w1(device, 1, /*worker_id=*/1);
+  sync::Mutex a{"test.rt_a"};
+  sync::Mutex b{"test.rt_b"};
+  a.lock();
+  b.lock();
+  b.unlock();
+  a.unlock();
+  b.lock();
+  a.lock();  // closes the cycle
+  a.unlock();
+  b.unlock();
+  StoreAndFlush(device, w0, 640, 0x21);
+  StoreAndFlush(device, w1, 640, 0x22);  // unlocked write
+  LockCheckReport report = Report(device);
+  ASSERT_EQ(report.total(), 2u);
+
+  CheckSection section = report.ToSection();
+  std::string path = ::testing::TempDir() + "/lockcheck_roundtrip.pmtrace";
+  std::remove(path.c_str());
+  ASSERT_TRUE(AppendCheckSection(path, section));
+  std::vector<CheckSection> parsed;
+  std::ifstream in(path);
+  std::string line;
+  std::string error;
+  while (std::getline(in, line)) {
+    ASSERT_TRUE(ParseCheckSectionLine(line, &parsed, &error)) << error << ": " << line;
+  }
+  const CheckSection* s = FindCheckSection(parsed, "lockcheck");
+  ASSERT_NE(s, nullptr);
+  EXPECT_EQ(*s, section);
+  EXPECT_EQ(FindCheckSection(parsed, "pmcheck"), nullptr);
+  EXPECT_EQ(s->total(), 2u);
+  EXPECT_EQ(s->classes[static_cast<size_t>(LockCheckClass::kLockCycle)].count, 1u);
+  EXPECT_EQ(s->classes[static_cast<size_t>(LockCheckClass::kUnlockedWrite)].count, 1u);
+  const std::vector<std::pair<std::string, uint64_t>> stats = {
+      {"locks_tracked", report.locks_tracked},
+      {"lines_tracked", report.lines_tracked},
+      {"order_edges", report.order_edges},
+      {"seq_read_sections", report.seq_read_sections},
+      {"seq_validate_failures", report.seq_validate_failures},
+      {"diagnostics_truncated", 0}};
+  EXPECT_EQ(s->stats, stats);
+  ASSERT_EQ(s->diagnostics.size(), 2u);
+  EXPECT_EQ(s->diagnostics[0].cls, "lock_cycle");
+  EXPECT_EQ(s->diagnostics[0].where, "line=0x0 lock=test.rt_b lock2=test.rt_a");
+  ASSERT_EQ(s->diagnostics[0].recent.size(), report.diagnostics[0].recent.size());
+  EXPECT_EQ(s->diagnostics[0].recent.back().kind, "acquire");
+  EXPECT_EQ(s->diagnostics[1].cls, "unlocked_write");
+  EXPECT_EQ(s->diagnostics[1].worker, 1u);
+  EXPECT_EQ(CheckVerdict(s), 3);
+
+  PmDevice clean_device{CheckedConfig()};
+  CheckSection clean = clean_device.lockcheck()->Snapshot().ToSection();
+  EXPECT_EQ(CheckVerdict(&clean), 0);
+  EXPECT_EQ(CheckVerdict(nullptr), 2);
 }
 
 }  // namespace

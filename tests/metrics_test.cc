@@ -4,7 +4,8 @@
 // across real OS threads, the disabled-gate zero-registration contract, the
 // deterministic .pmmetrics epoch series (bit-identical across identical
 // RunConfigs, including with background GC), the per-epoch component-bytes
-// sum invariant, and the .pmmetrics serialize/parse round trip.
+// sum and window-tiling invariants for both the driver and the sharded
+// service, and the .pmmetrics serialize/parse round trip.
 #include <algorithm>
 #include <cstdint>
 #include <fstream>
@@ -19,6 +20,7 @@
 #include "src/metrics/histogram.h"
 #include "src/metrics/metrics.h"
 #include "src/metrics/pmmetrics.h"
+#include "src/service/service.h"
 
 namespace cclbt {
 namespace {
@@ -234,27 +236,64 @@ TEST(MetricsEpochSeries, BackgroundGcBitIdenticalAcrossRuns) {
 
 // Every epoch's per-component media bytes must sum to that epoch's windowed
 // media_write_bytes, epoch windows must tile the measurement phase exactly
-// (byte and op totals telescope to the run totals), and window ends must be
+// (byte and op totals telescope to the phase totals), and window ends must be
 // strictly increasing.
-TEST(MetricsEpochSeries, ComponentSumsAndWindowTiling) {
-  bench::IndexConfig index_config;
-  index_config.tree.background_gc = true;
-  bench::RunConfig config = MetricsConfig();
-  bench::RunResult result = bench::RunIndexWorkload("cclbtree", config, index_config);
-  ASSERT_FALSE(result.epochs.empty());
+void ExpectEpochsTilePhase(const metrics::EpochSeries& epochs, uint64_t phase_media_bytes,
+                           uint64_t phase_ops) {
+  ASSERT_FALSE(epochs.empty());
   uint64_t media_bytes = 0;
   uint64_t ops = 0;
   uint64_t prev_t = 0;
-  for (const metrics::EpochRecord& e : result.epochs) {
+  for (const metrics::EpochRecord& e : epochs) {
     EXPECT_EQ(e.ComponentBytesTotal(), e.media_write_bytes) << "epoch " << e.index;
     EXPECT_GT(e.t_ns, prev_t) << "epoch " << e.index;
     prev_t = e.t_ns;
     media_bytes += e.media_write_bytes;
     ops += e.TotalOps();
   }
-  EXPECT_EQ(media_bytes, result.stats.media_write_bytes);
-  EXPECT_EQ(ops, config.ops);
-  EXPECT_EQ(result.epochs.back().index, result.epochs.size() - 1);
+  EXPECT_EQ(media_bytes, phase_media_bytes);
+  EXPECT_EQ(ops, phase_ops);
+  EXPECT_EQ(epochs.back().index, epochs.size() - 1);
+}
+
+TEST(MetricsEpochSeries, ComponentSumsAndWindowTiling) {
+  bench::IndexConfig index_config;
+  index_config.tree.background_gc = true;
+  bench::RunConfig config = MetricsConfig();
+  bench::RunResult result = bench::RunIndexWorkload("cclbtree", config, index_config);
+  ExpectEpochsTilePhase(result.epochs, result.stats.media_write_bytes, config.ops);
+}
+
+// The sharded service records through the same epoch recorder as the
+// driver; its series obeys the same invariants, closed-loop and open-loop,
+// with one shard or several.
+TEST(MetricsEpochSeries, ServiceComponentSumsAndWindowTiling) {
+  for (int shards : {1, 4}) {
+    for (double offered_mops : {0.0, 4.0}) {
+      SCOPED_TRACE("shards=" + std::to_string(shards) +
+                   " offered_mops=" + std::to_string(offered_mops));
+      kvindex::RuntimeOptions options;
+      options.device.pool_bytes = 256 << 20;
+      options.device.num_sockets = 2;
+      options.device.dimms_per_socket = 2;
+      kvindex::Runtime rt(options);
+      service::ServiceConfig config;
+      config.shards = shards;
+      config.queue_capacity = 32;
+      config.batch_ops = 4;
+      service::ShardedKvService svc(rt, config);
+      service::OpenLoopConfig w;
+      w.ops = 40'000;  // several epochs on every backend, closed-loop too
+      w.warm_keys = 4'000;
+      w.offered_mops = offered_mops;
+      w.mix = &kYcsbInsertIntensive;
+      w.seed = 7;
+      svc.Warm(w);
+      service::ServiceResult result = svc.Run(w);
+      EXPECT_GT(result.epochs.size(), 1u);
+      ExpectEpochsTilePhase(result.epochs, result.stats.media_write_bytes, result.completed);
+    }
+  }
 }
 
 // A run without the metrics flag (and no CCL_METRICS / latency collection)

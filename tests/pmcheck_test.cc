@@ -1,9 +1,15 @@
 // Tests for pmcheck, the persistency-ordering checker (DESIGN.md §11): one
 // deliberately-buggy driver per diagnostic class asserting the exact
 // diagnostic fires, suppression via PmCheckExpect, crash-injection
-// interaction, and a clean-run check over a cclbtree fig10-micro workload.
+// interaction, the shared retention cap, the dump-section round trip with
+// its verdict, and a clean-run check over a cclbtree fig10-micro workload.
+#include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <fstream>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -314,6 +320,124 @@ TEST(PmCheck, DiagnosticsCarryRecentEvents) {
   EXPECT_EQ(recent.back().detail, 0u);
   EXPECT_EQ(recent[recent.size() - 2].kind, PmCheckEvent::Kind::kFence);
   EXPECT_EQ(recent[recent.size() - 2].detail, 1u);
+}
+
+// --- retention cap (shared rule, src/pmsim/check_report.h) -------------------
+
+// One violation past the cap: the first kMaxCheckDiagnostics materialize, the
+// overflow counts as truncated, and the class count stays exact.
+TEST(PmCheck, RetentionCapTruncatesViolationsOnly) {
+  PmDevice device{CheckedConfig()};
+  ThreadContext ctx(device, 0, 0);
+  for (size_t i = 0; i < kMaxCheckDiagnostics + 1; i++) {
+    device.Fence(ctx);  // useless fence: one violation each
+  }
+  PmCheckReport report = Report(device);
+  EXPECT_EQ(Count(report, PmCheckClass::kUselessFence), 257u);
+  EXPECT_EQ(report.total(), 257u);
+  EXPECT_EQ(report.diagnostics.size(), 256u);
+  EXPECT_EQ(report.diagnostics_truncated, 1u);
+}
+
+// Informational findings past their own cap keep an exact count and never
+// count as truncation: info never gates a verdict, so nothing gating is lost.
+TEST(PmCheck, InfoOverflowIsNotTruncation) {
+  DeviceConfig config = CheckedConfig();
+  config.backend = MediaBackend::kEadr;  // useless_fence is info on eADR
+  PmDevice device{config};
+  ThreadContext ctx(device, 0, 0);
+  for (size_t i = 0; i < kMaxCheckInfoDiagnostics + 4; i++) {
+    device.Fence(ctx);
+  }
+  PmCheckReport report = Report(device);
+  EXPECT_EQ(report.info[static_cast<size_t>(PmCheckClass::kUselessFence)], 20u);
+  EXPECT_EQ(report.total(), 0u);
+  EXPECT_EQ(report.diagnostics.size(), kMaxCheckInfoDiagnostics);
+  EXPECT_EQ(report.diagnostics_truncated, 0u);
+}
+
+// --- dump section round trip --------------------------------------------------
+
+// Writes `section` with the shared writer and reads it back with the shared
+// reader `pmctl` uses.
+std::vector<CheckSection> RoundTrip(const CheckSection& section, const std::string& name) {
+  std::string path = ::testing::TempDir() + "/" + name + ".pmtrace";
+  std::remove(path.c_str());
+  EXPECT_TRUE(AppendCheckSection(path, section));
+  std::ifstream in(path);
+  std::vector<CheckSection> parsed;
+  std::string line;
+  std::string error;
+  while (std::getline(in, line)) {
+    EXPECT_TRUE(ParseCheckSectionLine(line, &parsed, &error)) << error << ": " << line;
+  }
+  return parsed;
+}
+
+// report -> section -> parse keeps counts, stats, diagnostics and their
+// recent events; the verdict is 3 on violations, 0 clean, 2 checker off.
+TEST(PmCheck, SectionRoundTripAndVerdict) {
+  PmDevice device{CheckedConfig()};
+  ThreadContext ctx(device, 0, 0);
+  Store(device, 64, 0xD1);
+  device.FlushLine(ctx, device.base() + 64);
+  device.Fence(ctx);
+  device.FlushLine(ctx, device.base() + 64);  // redundant: the line is clean
+  device.Fence(ctx);
+  device.Fence(ctx);  // useless
+  PmCheckReport report = Report(device);
+  ASSERT_EQ(report.total(), 2u);
+
+  CheckSection section = report.ToSection();
+  std::vector<CheckSection> parsed = RoundTrip(section, "pmcheck_roundtrip");
+  const CheckSection* s = FindCheckSection(parsed, "pmcheck");
+  ASSERT_NE(s, nullptr);
+  EXPECT_EQ(*s, section);
+  EXPECT_EQ(s->total(), report.total());
+  EXPECT_EQ(s->total_info(), report.total_info());
+  EXPECT_EQ(s->total_suppressed(), report.total_suppressed());
+  ASSERT_EQ(s->classes.size(), static_cast<size_t>(kNumPmCheckClasses));
+  EXPECT_EQ(s->classes[static_cast<size_t>(PmCheckClass::kRedundantFlush)].name,
+            "redundant_flush");
+  EXPECT_EQ(s->classes[static_cast<size_t>(PmCheckClass::kRedundantFlush)].count, 1u);
+  EXPECT_EQ(s->classes[static_cast<size_t>(PmCheckClass::kUselessFence)].count, 1u);
+  const std::vector<std::pair<std::string, uint64_t>> stats = {
+      {"fence_epochs", report.fence_epochs},
+      {"lines_tracked", report.lines_tracked},
+      {"diagnostics_truncated", 0}};
+  EXPECT_EQ(s->stats, stats);
+  ASSERT_EQ(s->diagnostics.size(), 2u);
+  EXPECT_EQ(s->diagnostics[0].cls, "redundant_flush");
+  EXPECT_EQ(s->diagnostics[0].detail, "flush_of_clean_line");
+  EXPECT_EQ(s->diagnostics[0].where.rfind("line=0x40 ", 0), 0u) << s->diagnostics[0].where;
+  ASSERT_EQ(s->diagnostics[0].recent.size(), report.diagnostics[0].recent.size());
+  EXPECT_EQ(s->diagnostics[0].recent.back().kind, "flush");
+  EXPECT_EQ(s->diagnostics[1].cls, "useless_fence");
+  EXPECT_EQ(CheckVerdict(s), 3);
+
+  PmDevice clean_device{CheckedConfig()};
+  std::vector<CheckSection> clean =
+      RoundTrip(Report(clean_device).ToSection(), "pmcheck_roundtrip_clean");
+  EXPECT_EQ(CheckVerdict(FindCheckSection(clean, "pmcheck")), 0);
+  EXPECT_EQ(CheckVerdict(FindCheckSection(clean, "lockcheck")), 2);
+}
+
+// Informational findings survive the round trip but never gate the verdict.
+TEST(PmCheck, SectionInfoOnlyIsClean) {
+  DeviceConfig config = CheckedConfig();
+  config.backend = MediaBackend::kEadr;
+  PmDevice device{config};
+  ThreadContext ctx(device, 0, 0);
+  device.Fence(ctx);
+  CheckSection section = Report(device).ToSection();
+  std::vector<CheckSection> parsed = RoundTrip(section, "pmcheck_roundtrip_info");
+  const CheckSection* s = FindCheckSection(parsed, "pmcheck");
+  ASSERT_NE(s, nullptr);
+  EXPECT_EQ(*s, section);
+  ASSERT_EQ(s->diagnostics.size(), 1u);
+  EXPECT_TRUE(s->diagnostics[0].info);
+  EXPECT_EQ(s->total_info(), 1u);
+  EXPECT_EQ(CheckVerdict(s), 0);
 }
 
 }  // namespace

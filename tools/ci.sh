@@ -25,6 +25,9 @@
 #   6c. service: the sharded KV front-end suite re-run as a named step
 #      (ctest -R service) so a socket-pinning, admission-control, or
 #      acked-write-durability regression is named explicitly (DESIGN.md §15)
+#   6d. pmctl: one small fig03 cclbtree run with both checkers on writes real
+#      .pmtrace/.pmmetrics dumps; pmctl stats, check, locks and series must
+#      all exit 0 on them (clean checkers, component sums hold per epoch)
 #   7. determinism: staged benches run twice with pmcheck enabled,
 #      virtual-metric tails diffed (run_benches.sh --determinism; §10 —
 #      diagnostics must not perturb virtual time); includes the
@@ -129,6 +132,24 @@ CCL_BACKEND=cxl ctest --test-dir build --output-on-failure -j"$(nproc)"
 # run (no acked-then-lost writes) as an explicitly named step (DESIGN.md §15).
 echo "=== service: ctest -R service ==="
 ctest --test-dir build -R service --output-on-failure
+
+# pmctl on real dumps: the checker sections and the epoch series are read
+# back by the tool users run, not only by the unit tests. Any nonzero exit
+# (checker off, a violation, a component-sum break, a missing dump) fails.
+echo "=== pmctl: stats/check/locks/series on a checked fig03 dump ==="
+PMCTL_DIR="$(mktemp -d)"
+CCL_BENCH_SCALE=20000 CCL_TRACE="${PMCTL_DIR}/tr" CCL_METRICS="${PMCTL_DIR}/m" \
+  CCL_PMCHECK=1 CCL_LOCKCHECK=1 \
+  ./build/bench/bench_fig03_amplification_uniform --benchmark_filter=cclbtree >/dev/null
+for dump in "${PMCTL_DIR}"/tr.*.pmtrace; do
+  ./build/tools/pmctl stats "${dump}" >/dev/null
+  ./build/tools/pmctl check "${dump}"
+  ./build/tools/pmctl locks "${dump}"
+done
+for dump in "${PMCTL_DIR}"/m.*.pmmetrics; do
+  ./build/tools/pmctl series "${dump}" >/dev/null
+done
+rm -rf "${PMCTL_DIR}"
 
 # Determinism gate: the paper-figure benches must produce bit-identical
 # virtual-metric tails across back-to-back runs — including cclbtree rows

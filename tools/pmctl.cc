@@ -4,14 +4,18 @@
 // attribution data instead of DIMM SMART counters.
 //
 //   pmctl stats   <dump>            amplification + per-tag/per-component table
-//   pmctl watch   <dump>            stats timeline as per-interval rates
 //   pmctl heatmap <dump> [--cols N] ASCII XPLine write-count heatmap
 //   pmctl trace   <dump> [-o f]     Chrome trace-event JSON (Perfetto-loadable)
 //   pmctl check   <dump>            pmcheck persistency report; exit 3 on violations
 //   pmctl locks   <dump>            lockcheck locking report; exit 3 on violations
 //
+// check and locks render the dump's checker sections through one renderer
+// (the shared section schema, src/pmsim/check_report.h); both exit 2 when
+// the checker was off for the run.
+//
 // It also reads the .pmmetrics JSON-lines time series written when
-// CCL_METRICS=<prefix> is set (src/bench/metrics_dump.h):
+// CCL_METRICS=<prefix> is set (src/bench/metrics_dump.h) — how a run's rates
+// evolved over virtual time is `pmctl series`:
 //   pmctl top     <dump.pmmetrics>          one-shot terminal dashboard (no
 //                                           polling by design — wrap with
 //                                           `watch -n1` for a live view)
@@ -31,6 +35,7 @@
 #include <vector>
 
 #include "src/metrics/pmmetrics.h"
+#include "src/pmsim/check_report.h"
 #include "src/trace/component.h"
 #include "src/trace/event.h"
 #include "src/trace/exporters.h"
@@ -50,69 +55,6 @@ struct CompRow {
   uint64_t committed_lines = 0;
 };
 
-struct Sample {
-  uint64_t t_ns = 0;
-  uint64_t ops = 0;
-  uint64_t media_write_bytes = 0;
-  uint64_t xpbuffer_write_bytes = 0;
-  uint64_t line_flushes = 0;
-  uint64_t fences = 0;
-};
-
-// One recent-event line attached to a pmcheck diagnostic.
-struct CheckEvent {
-  std::string kind;
-  std::string comp;
-  int worker = 0;
-  uint64_t detail = 0;
-  uint64_t fence_epoch = 0;
-};
-
-struct CheckDiag {
-  std::string cls;
-  uint64_t line = 0;
-  uint64_t xpline = 0;
-  int dimm = 0;
-  std::string comp;
-  int worker = 0;
-  uint64_t fence_epoch = 0;
-  std::string detail;
-  // Informational diagnostic (backend-downgraded severity; pmcheckinfo
-  // keyword in v2 dumps). Never counts toward the exit status.
-  bool info = false;
-  std::vector<CheckEvent> recent;
-};
-
-struct CheckClassRow {
-  std::string name;
-  uint64_t count = 0;
-  uint64_t suppressed = 0;
-  uint64_t info = 0;  // v2 dumps only; 0 for v1
-};
-
-// One recent-event line attached to a lockcheck diagnostic.
-struct LockEvent {
-  std::string kind;
-  std::string comp;
-  int worker = 0;
-  std::string lock;  // "-" when not lock-related
-  uint64_t detail = 0;
-};
-
-struct LockDiag {
-  std::string cls;
-  uint64_t line = 0;  // line-aligned pool offset; 0 for lock_cycle
-  std::string comp;
-  int worker = 0;
-  std::string lock;   // primary lock name ("none" when not lock-related)
-  std::string lock2;  // cycle-edge target for lock_cycle, else "none"
-  std::string detail;
-  // Informational diagnostic (fence_publish_gap without pmcheck
-  // confirmation). Never counts toward the exit status.
-  bool info = false;
-  std::vector<LockEvent> recent;
-};
-
 struct Dump {
   int version = 0;
   std::string label;
@@ -120,21 +62,13 @@ struct Dump {
   std::vector<std::pair<std::string, uint64_t>> stats;  // declaration order
   std::vector<TagRow> tags;
   std::vector<CompRow> comps;
-  std::vector<Sample> samples;
   uint64_t heat_units = 0;
   uint64_t heat_per_bin = 0;
   std::vector<trace::HeatBin> heat_bins;  // sparse, as dumped
   std::vector<trace::NamedRing> rings;
-  // pmcheck section (present iff the run had CCL_PMCHECK=1 / RunConfig on).
-  int pmcheck_version = 0;
-  std::vector<std::pair<std::string, uint64_t>> pmcheck_stats;
-  std::vector<CheckClassRow> pmcheck_classes;
-  std::vector<CheckDiag> pmcheck_diags;
-  // lockcheck section (present iff the run had CCL_LOCKCHECK=1 / RunConfig on).
-  int lockcheck_version = 0;
-  std::vector<std::pair<std::string, uint64_t>> lockcheck_stats;
-  std::vector<CheckClassRow> lockcheck_classes;
-  std::vector<LockDiag> lockcheck_diags;
+  // One section per checker that was on for the run (CCL_PMCHECK=1 /
+  // CCL_LOCKCHECK=1 or the RunConfig flags).
+  std::vector<pmsim::CheckSection> checks;
 };
 
 uint64_t Stat(const Dump& d, const std::string& name) {
@@ -184,11 +118,6 @@ bool ParseDump(const std::string& path, Dump& d) {
       CompRow row;
       ss >> row.name >> row.media_bytes >> row.committed_lines;
       d.comps.push_back(row);
-    } else if (kw == "sample") {
-      Sample s;
-      ss >> s.t_ns >> s.ops >> s.media_write_bytes >> s.xpbuffer_write_bytes >>
-          s.line_flushes >> s.fences;
-      d.samples.push_back(s);
     } else if (kw == "heat") {
       ss >> d.heat_units >> d.heat_per_bin;
     } else if (kw == "heatbin") {
@@ -220,65 +149,14 @@ bool ParseDump(const std::string& path, Dump& d) {
       ev.comp = static_cast<uint8_t>(comp);
       ev.dimm = static_cast<uint16_t>(dimm);
       ring->events.push_back(ev);
-    } else if (kw == "pmcheck") {
-      ss >> d.pmcheck_version;
-    } else if (kw == "pmcheckstat") {
-      std::string name;
-      uint64_t value = 0;
-      ss >> name >> value;
-      d.pmcheck_stats.emplace_back(name, value);
-    } else if (kw == "pmcheckclass") {
-      CheckClassRow row;
-      ss >> row.name >> row.count >> row.suppressed;
-      uint64_t info = 0;
-      if (ss >> info) {
-        row.info = info;
-      } else {
-        ss.clear();  // v1 dumps have no info column
-      }
-      d.pmcheck_classes.push_back(row);
-    } else if (kw == "pmcheckdiag" || kw == "pmcheckinfo") {
-      CheckDiag diag;
-      ss >> diag.cls >> diag.line >> diag.xpline >> diag.dimm >> diag.comp >> diag.worker >>
-          diag.fence_epoch >> diag.detail;
-      diag.info = kw == "pmcheckinfo";
-      d.pmcheck_diags.push_back(std::move(diag));
-    } else if (kw == "pmcheckev") {
-      CheckEvent ev;
-      ss >> ev.kind >> ev.comp >> ev.worker >> ev.detail >> ev.fence_epoch;
-      if (d.pmcheck_diags.empty()) {
-        std::cerr << "pmctl: " << path << ":" << lineno << ": pmcheckev outside a diagnostic\n";
-        return false;
-      }
-      d.pmcheck_diags.back().recent.push_back(std::move(ev));
-    } else if (kw == "lockcheck") {
-      ss >> d.lockcheck_version;
-    } else if (kw == "lockcheckstat") {
-      std::string name;
-      uint64_t value = 0;
-      ss >> name >> value;
-      d.lockcheck_stats.emplace_back(name, value);
-    } else if (kw == "lockcheckclass") {
-      CheckClassRow row;
-      ss >> row.name >> row.count >> row.suppressed >> row.info;
-      d.lockcheck_classes.push_back(row);
-    } else if (kw == "lockcheckdiag" || kw == "lockcheckinfo") {
-      LockDiag diag;
-      ss >> diag.cls >> diag.line >> diag.comp >> diag.worker >> diag.lock >> diag.lock2 >>
-          diag.detail;
-      diag.info = kw == "lockcheckinfo";
-      d.lockcheck_diags.push_back(std::move(diag));
-    } else if (kw == "lockcheckev") {
-      LockEvent ev;
-      ss >> ev.kind >> ev.comp >> ev.worker >> ev.lock >> ev.detail;
-      if (d.lockcheck_diags.empty()) {
-        std::cerr << "pmctl: " << path << ":" << lineno
-                  << ": lockcheckev outside a diagnostic\n";
-        return false;
-      }
-      d.lockcheck_diags.back().recent.push_back(std::move(ev));
     } else {
-      // Unknown keyword: skip (forward compatibility with newer dumps).
+      // Checker sections go to the shared reader, which skips every other
+      // unknown keyword (forward compatibility with newer dumps).
+      std::string error;
+      if (!pmsim::ParseCheckSectionLine(line, &d.checks, &error)) {
+        std::cerr << "pmctl: " << path << ":" << lineno << ": " << error << "\n";
+        return false;
+      }
       continue;
     }
     if (!ss && kw != "pmtrace") {
@@ -287,7 +165,7 @@ bool ParseDump(const std::string& path, Dump& d) {
       return false;
     }
   }
-  if (d.version != 1) {
+  if (d.version != 2) {
     std::cerr << "pmctl: " << path << ": unsupported pmtrace version " << d.version
               << "\n";
     return false;
@@ -375,40 +253,6 @@ int CmdStats(const Dump& d) {
   return 0;
 }
 
-int CmdWatch(const Dump& d) {
-  if (d.samples.empty()) {
-    std::printf("(no timeline samples in dump; sequential-scheduler runs only)\n");
-    return 0;
-  }
-  std::printf("%10s %12s %10s %12s %12s %10s %10s\n", "t_ms", "ops", "Mops", "media_MB/s",
-              "xpbuf_MB/s", "flush/op", "fence/op");
-  Sample prev;
-  for (const Sample& s : d.samples) {
-    uint64_t dt = s.t_ns - prev.t_ns;
-    uint64_t dops = s.ops - prev.ops;
-    double dt_s = static_cast<double>(dt) / 1e9;
-    double mops = dt == 0 ? 0.0 : static_cast<double>(dops) / 1e6 / dt_s;
-    double media_mbs =
-        dt == 0 ? 0.0
-                : static_cast<double>(s.media_write_bytes - prev.media_write_bytes) / 1e6 / dt_s;
-    double xpb_mbs =
-        dt == 0 ? 0.0
-                : static_cast<double>(s.xpbuffer_write_bytes - prev.xpbuffer_write_bytes) /
-                      1e6 / dt_s;
-    double fpo = dops == 0 ? 0.0
-                           : static_cast<double>(s.line_flushes - prev.line_flushes) /
-                                 static_cast<double>(dops);
-    double fepo = dops == 0 ? 0.0
-                            : static_cast<double>(s.fences - prev.fences) /
-                                  static_cast<double>(dops);
-    std::printf("%10.2f %12llu %10.3f %12.1f %12.1f %10.2f %10.2f\n",
-                static_cast<double>(s.t_ns) / 1e6, static_cast<unsigned long long>(s.ops),
-                mops, media_mbs, xpb_mbs, fpo, fepo);
-    prev = s;
-  }
-  return 0;
-}
-
 int CmdHeatmap(const Dump& d, int columns) {
   if (d.heat_units == 0 || d.heat_per_bin == 0) {
     std::printf("(no heatmap in dump; run under CCL_TRACE with a driver that enables "
@@ -481,33 +325,27 @@ int CmdTrace(const Dump& d, const std::string& out_path) {
   return 0;
 }
 
-// Persistency report from the dump's pmcheck section (DESIGN.md §11).
-// Exit status: 0 clean, 2 checker was not enabled for the run, 3 violations.
-int CmdCheck(const Dump& d) {
-  if (d.pmcheck_version == 0) {
-    std::printf("run %s: pmcheck was not enabled for this run\n", d.label.c_str());
-    std::printf("(rerun with CCL_PMCHECK=1 and CCL_TRACE=<prefix> to produce a checked dump)\n");
-    return 2;
+// Report from one checker's dump section: pmcheck (`pmctl check`, DESIGN.md
+// §11) or lockcheck (`pmctl locks`, §16). `env` names the switch that turns
+// the checker on. Exit status: 0 clean, 2 checker was not enabled for the
+// run, 3 violations; informational findings never gate it.
+int CmdCheckSection(const Dump& d, const char* checker, const char* env) {
+  const pmsim::CheckSection* s = pmsim::FindCheckSection(d.checks, checker);
+  if (s == nullptr) {
+    std::printf("run %s: %s was not enabled for this run\n", d.label.c_str(), checker);
+    std::printf("(rerun with %s=1 and CCL_TRACE=<prefix> to produce a checked dump)\n", env);
+    return pmsim::CheckVerdict(s);
   }
-  uint64_t total = 0;
-  uint64_t suppressed = 0;
-  uint64_t info = 0;
-  for (const CheckClassRow& row : d.pmcheck_classes) {
-    total += row.count;
-    suppressed += row.suppressed;
-    info += row.info;
-  }
-  // Informational counts (backend-downgraded classes) are reported but never
-  // gate the exit status.
-  std::printf("run %s: pmcheck %s — %llu violation(s), %llu informational, %llu suppressed\n",
-              d.label.c_str(), total == 0 ? "CLEAN" : "VIOLATIONS",
-              static_cast<unsigned long long>(total), static_cast<unsigned long long>(info),
-              static_cast<unsigned long long>(suppressed));
+  std::printf("run %s: %s %s — %llu violation(s), %llu informational, %llu suppressed\n",
+              d.label.c_str(), checker, s->total() == 0 ? "CLEAN" : "VIOLATIONS",
+              static_cast<unsigned long long>(s->total()),
+              static_cast<unsigned long long>(s->total_info()),
+              static_cast<unsigned long long>(s->total_suppressed()));
   auto backend = d.config.find("backend");
   if (backend != d.config.end()) {
     std::printf("  %-22s %14s\n", "backend", backend->second.c_str());
   }
-  for (const auto& [name, value] : d.pmcheck_stats) {
+  for (const auto& [name, value] : s->stats) {
     std::printf("  %-22s %14llu\n", name.c_str(), static_cast<unsigned long long>(value));
     if (name == "diagnostics_truncated" && value != 0) {
       std::printf("  WARNING: %llu diagnostic(s) beyond the retention cap were counted "
@@ -516,95 +354,28 @@ int CmdCheck(const Dump& d) {
     }
   }
   std::printf("\n-- violations by class --\n");
-  for (const CheckClassRow& row : d.pmcheck_classes) {
+  for (const pmsim::CheckSection::ClassRow& row : s->classes) {
     std::printf("  %-22s %14llu   (%llu info, %llu suppressed)\n", row.name.c_str(),
                 static_cast<unsigned long long>(row.count),
                 static_cast<unsigned long long>(row.info),
                 static_cast<unsigned long long>(row.suppressed));
   }
-  if (!d.pmcheck_diags.empty()) {
+  if (!s->diagnostics.empty()) {
     std::printf("\n-- diagnostics --\n");
     size_t i = 0;
-    for (const CheckDiag& diag : d.pmcheck_diags) {
+    for (const pmsim::CheckSection::Diagnostic& diag : s->diagnostics) {
       std::printf("[%zu] %s%s: %s\n", i++, diag.cls.c_str(), diag.info ? " (info)" : "",
                   diag.detail.c_str());
-      std::printf("    line 0x%llx (XPLine %llu, DIMM %d), component %s, worker %d, "
-                  "fence epoch %llu\n",
-                  static_cast<unsigned long long>(diag.line),
-                  static_cast<unsigned long long>(diag.xpline), diag.dimm, diag.comp.c_str(),
-                  diag.worker, static_cast<unsigned long long>(diag.fence_epoch));
-      for (const CheckEvent& ev : diag.recent) {
-        std::printf("      ... %-6s comp=%-10s worker=%-3d detail=0x%llx epoch=%llu\n",
-                    ev.kind.c_str(), ev.comp.c_str(), ev.worker,
-                    static_cast<unsigned long long>(ev.detail),
-                    static_cast<unsigned long long>(ev.fence_epoch));
+      std::printf("    component %s, worker %llu, %s\n", diag.comp.c_str(),
+                  static_cast<unsigned long long>(diag.worker), diag.where.c_str());
+      for (const pmsim::CheckSection::Event& ev : diag.recent) {
+        std::printf("      ... %-9s comp=%-10s worker=%-5llu %s\n", ev.kind.c_str(),
+                    ev.comp.c_str(), static_cast<unsigned long long>(ev.worker),
+                    ev.fields.c_str());
       }
     }
   }
-  return total == 0 ? 0 : 3;
-}
-
-// Locking report from the dump's lockcheck section (DESIGN.md §16).
-// Exit status: 0 clean, 2 checker was not enabled for the run, 3 violations.
-int CmdLocks(const Dump& d) {
-  if (d.lockcheck_version == 0) {
-    std::printf("run %s: lockcheck was not enabled for this run\n", d.label.c_str());
-    std::printf("(rerun with CCL_LOCKCHECK=1 and CCL_TRACE=<prefix> to produce a checked "
-                "dump)\n");
-    return 2;
-  }
-  uint64_t total = 0;
-  uint64_t suppressed = 0;
-  uint64_t info = 0;
-  for (const CheckClassRow& row : d.lockcheck_classes) {
-    total += row.count;
-    suppressed += row.suppressed;
-    info += row.info;
-  }
-  // Informational counts (fence_publish_gap without pmcheck confirmation)
-  // are reported but never gate the exit status.
-  std::printf("run %s: lockcheck %s — %llu violation(s), %llu informational, %llu "
-              "suppressed\n",
-              d.label.c_str(), total == 0 ? "CLEAN" : "VIOLATIONS",
-              static_cast<unsigned long long>(total), static_cast<unsigned long long>(info),
-              static_cast<unsigned long long>(suppressed));
-  for (const auto& [name, value] : d.lockcheck_stats) {
-    std::printf("  %-22s %14llu\n", name.c_str(), static_cast<unsigned long long>(value));
-    if (name == "diagnostics_truncated" && value != 0) {
-      std::printf("  WARNING: %llu diagnostic(s) beyond the retention cap were counted "
-                  "but not materialized — the list below is incomplete\n",
-                  static_cast<unsigned long long>(value));
-    }
-  }
-  std::printf("\n-- violations by class --\n");
-  for (const CheckClassRow& row : d.lockcheck_classes) {
-    std::printf("  %-22s %14llu   (%llu info, %llu suppressed)\n", row.name.c_str(),
-                static_cast<unsigned long long>(row.count),
-                static_cast<unsigned long long>(row.info),
-                static_cast<unsigned long long>(row.suppressed));
-  }
-  if (!d.lockcheck_diags.empty()) {
-    std::printf("\n-- diagnostics --\n");
-    size_t i = 0;
-    for (const LockDiag& diag : d.lockcheck_diags) {
-      std::printf("[%zu] %s%s: %s\n", i++, diag.cls.c_str(), diag.info ? " (info)" : "",
-                  diag.detail.c_str());
-      if (diag.cls == "lock_cycle") {
-        std::printf("    order edge %s -> %s, component %s, worker %d\n", diag.lock.c_str(),
-                    diag.lock2.c_str(), diag.comp.c_str(), diag.worker);
-      } else {
-        std::printf("    line 0x%llx, lock %s, component %s, worker %d\n",
-                    static_cast<unsigned long long>(diag.line), diag.lock.c_str(),
-                    diag.comp.c_str(), diag.worker);
-      }
-      for (const LockEvent& ev : diag.recent) {
-        std::printf("      ... %-8s comp=%-10s worker=%-3d lock=%-18s detail=0x%llx\n",
-                    ev.kind.c_str(), ev.comp.c_str(), ev.worker, ev.lock.c_str(),
-                    static_cast<unsigned long long>(ev.detail));
-      }
-    }
-  }
-  return total == 0 ? 0 : 3;
+  return pmsim::CheckVerdict(s);
 }
 
 // --- .pmmetrics commands ----------------------------------------------------
@@ -805,16 +576,16 @@ int CmdSeries(const metrics::PmMetricsFile& f, bool json) {
 
 int Usage() {
   std::cerr
-      << "usage: pmctl <stats|watch|heatmap|trace|check|locks|top|series> <dump> [options]\n"
+      << "usage: pmctl <stats|heatmap|trace|check|locks|top|series> <dump> [options]\n"
          "  stats   <dump.pmtrace>              counters, amplification, per-component breakdown\n"
-         "  watch   <dump.pmtrace>              stats timeline as per-interval rates\n"
          "  heatmap <dump.pmtrace> [--cols N]   ASCII XPLine write heatmap (default 64 cols)\n"
          "  trace   <dump.pmtrace> [-o f.json]  Chrome trace JSON to f.json (default stdout)\n"
          "  check   <dump.pmtrace>              pmcheck persistency report; exit 3 on violations\n"
          "  locks   <dump.pmtrace>              lockcheck locking report; exit 3 on violations\n"
          "  top     <dump.pmmetrics>            terminal dashboard (one-shot; `watch -n1` for live)\n"
-         "  series  <dump.pmmetrics> [--json]   per-epoch series as CSV (default) or JSON lines;\n"
-         "                                      exit 3 on component-sum violation\n"
+         "  series  <dump.pmmetrics> [--json]   per-epoch series (rates over virtual time) as CSV\n"
+         "                                      (default) or JSON lines; the dump path comes\n"
+         "                                      first; exit 3 on component-sum violation\n"
          "Produce .pmtrace dumps by running any bench with CCL_TRACE=<path-prefix>\n"
          "(add CCL_PMCHECK=1 / CCL_LOCKCHECK=1 for dumps `pmctl check` / `pmctl locks`\n"
          "can report on), and\n"
@@ -853,14 +624,11 @@ int Main(int argc, char** argv) {
   if (cmd == "stats") {
     return CmdStats(d);
   }
-  if (cmd == "locks") {
-    return CmdLocks(d);
-  }
   if (cmd == "check") {
-    return CmdCheck(d);
+    return CmdCheckSection(d, "pmcheck", "CCL_PMCHECK");
   }
-  if (cmd == "watch") {
-    return CmdWatch(d);
+  if (cmd == "locks") {
+    return CmdCheckSection(d, "lockcheck", "CCL_LOCKCHECK");
   }
   if (cmd == "heatmap") {
     int columns = 64;
