@@ -183,6 +183,14 @@ void CclBTree::ChargeDram(uint64_t accesses) const {
   pmsim::AdvanceCpu(accesses * rt_.device().config().cost.dram_access_ns);
 }
 
+void CclBTree::ChargeInnerDescent() const {
+  // Upsert's and Lookup's descent cost, attributed to the inner index. It is
+  // not charged inside RouteAndLock: recovery's log replay routes through
+  // that uncharged, and moving the charge would move the virtual clock.
+  trace::TraceScope scope(trace::Component::kInner);
+  ChargeDram(8);
+}
+
 // --- write path ----------------------------------------------------------------
 
 BufferNode* CclBTree::RouteAndLock(uint64_t key) {
@@ -231,7 +239,7 @@ void CclBTree::Upsert(uint64_t key, uint64_t value) {
 void CclBTree::UpsertInternal(uint64_t key, uint64_t value) {
   pmsim::ThreadContext* ctx = pmsim::ThreadContext::Current();
   assert(ctx != nullptr);
-  ChargeDram(8);  // inner-index descent
+  ChargeInnerDescent();
 
   if (!options_.buffering) {
     // Ablation "Base": write straight to the PM leaf, FPTree-style. The
@@ -692,7 +700,7 @@ bool CclBTree::Lookup(uint64_t key, uint64_t* value_out) {
   pmsim::ThreadContext* ctx = pmsim::ThreadContext::Current();
   assert(ctx != nullptr);
   for (;;) {
-    ChargeDram(8);  // inner-index descent
+    ChargeInnerDescent();
     bool found = false;
     BufferNode* bn = inner_.RouteFloor(key, &found);
     if (!found) {

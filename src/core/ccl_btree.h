@@ -181,6 +181,7 @@ class CclBTree : public kvindex::KvIndex {
   uint64_t LeafOffset(const PmLeaf* leaf) const;
   PmLeaf* LeafAt(uint64_t offset) const;
   void ChargeDram(uint64_t accesses) const;
+  void ChargeInnerDescent() const;  // ChargeDram(8) under a kInner scope
 
   kvindex::Runtime& rt_;
   TreeOptions options_;

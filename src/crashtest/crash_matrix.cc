@@ -39,8 +39,7 @@ std::vector<Op> BuildOps(const MatrixConfig& config) {
 
 kvindex::RuntimeOptions RuntimeOptionsFor(const MatrixConfig& config) {
   kvindex::RuntimeOptions options;
-  // Single socket/DIMM: the matrix measures correctness, not NUMA effects,
-  // and a small pool keeps the per-point Crash() shadow copy cheap.
+  // Single socket/DIMM: the matrix measures correctness, not NUMA effects.
   options.device.pool_bytes = config.pool_bytes;
   options.device.num_sockets = 1;
   options.device.dimms_per_socket = 1;

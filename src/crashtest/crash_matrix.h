@@ -65,7 +65,7 @@ struct MatrixConfig {
   // gc-window schedule: a crash point at every gc_stride-th fence inside
   // each GC round's fence window observed in the probe run (0 disables).
   uint64_t gc_stride = 2;
-  size_t pool_bytes = 32ULL << 20;  // small pool keeps per-point Crash() cheap
+  size_t pool_bytes = 32ULL << 20;
   int recovery_threads = 1;
   int max_diagnostics = 8;
   // Persistence-domain backend of every per-point Runtime (DESIGN.md §14).

@@ -147,6 +147,9 @@ PmDevice::PmDevice(const DeviceConfig& config)
   for (size_t i = 0; i < num_pages; i++) {
     page_tags_[i].store(static_cast<uint8_t>(StreamTag::kOther), std::memory_order_relaxed);
   }
+  if (config_.crash_tracking) {
+    shadow_pages_ = std::make_unique<std::atomic<uint8_t>[]>(num_pages);  // all zero
+  }
   if (config_.record_unit_heatmap) {
     num_units_ = config_.pool_bytes / config_.xpline_bytes;
     unit_writes_ = std::make_unique<std::atomic<uint32_t>[]>(num_units_);
@@ -217,9 +220,7 @@ void PmDevice::FlushLine(ThreadContext& ctx, const void* addr) {
     if (lockcheck_ != nullptr) {
       lockcheck_->OnPmWrite(ctx, line);
     }
-    if (shadow_.data != nullptr) {
-      std::memcpy(shadow_.get() + line, pool_.get() + line, kCachelineBytes);
-    }
+    WriteShadowLine(line, pool_.get() + line);
     ctx.stats_shard().AddCommittedLines(trace::CurrentComponent(), 1);
     // The dirty line reaches the XPBuffer via the backend's modeled
     // cache-eviction stream.
@@ -320,9 +321,7 @@ void PmDevice::PersistRange(ThreadContext& ctx, const void* addr, size_t len) {
 template <bool kTraced>
 void PmDevice::CommitLine(ThreadContext& ctx, uintptr_t line_offset, trace::Component comp) {
   if (durable_at_commit_) {
-    if (shadow_.data != nullptr) {
-      std::memcpy(shadow_.get() + line_offset, pool_.get() + line_offset, kCachelineBytes);
-    }
+    WriteShadowLine(line_offset, pool_.get() + line_offset);
   } else {
     // Volatile device buffer (CXL): the fence hands the line to the device,
     // but durability waits for the containing media unit's eviction.
@@ -498,8 +497,8 @@ void PmDevice::DrainBuffers() {
   }
 }
 
-void PmDevice::Crash() {
-  assert(shadow_.data != nullptr && "Crash() requires crash_tracking");
+void PmDevice::CrashWithSeed(std::optional<uint64_t> torn_seed) {
+  assert(shadow_.data != nullptr && "Crash()/CrashTorn() require crash_tracking");
   if (pmcheck_ != nullptr) {
     // An injector-scheduled crash is the harness doing its job — in-flight
     // state is expected there, so the class-4 scan only runs for crashes
@@ -515,41 +514,15 @@ void PmDevice::Crash() {
   // (acked!) lines; eADR's modeled cache just goes cold (content already
   // durable, so it reports 0).
   uint64_t volatile_lines_lost = media_->DropVolatileOnCrash();
-  uint64_t lines_dropped = 0;
-  {
-    sync::LockGuard<sync::Mutex> guard(contexts_mu_);
-    for (ThreadContext* ctx : contexts_) {
-      lines_dropped += ctx->pending_lines_.size();
-      ctx->ClearPending();
-    }
-  }
-  stats_.AddCrash(lines_dropped + volatile_lines_lost, /*torn_lines_applied=*/0);
-  std::memcpy(pool_.get(), shadow_.get(), config_.pool_bytes);
-  // Fresh boot: the XPBuffer is power-protected, so its content already lives
-  // in the shadow image; the model itself restarts cold.
-  for (auto& xpbuffer : xpbuffers_) {
-    xpbuffer->Drain([](bool, StreamTag, trace::Component, uint64_t) {});
-  }
-}
-
-void PmDevice::CrashTorn(uint64_t seed) {
-  assert(shadow_.data != nullptr && "CrashTorn() requires crash_tracking");
-  if (pmcheck_ != nullptr) {
-    pmcheck_->OnCrash((injector_ != nullptr && injector_->fired()) || !durable_at_commit_);
-  }
-  if (lockcheck_ != nullptr) {
-    lockcheck_->OnCrash();
-  }
-  uint64_t volatile_lines_lost = media_->DropVolatileOnCrash();
-  Rng rng(seed);
+  Rng rng(torn_seed.value_or(0));
   uint64_t lines_dropped = 0;
   uint64_t torn_lines_applied = 0;
   {
     sync::LockGuard<sync::Mutex> guard(contexts_mu_);
     for (ThreadContext* ctx : contexts_) {
       for (uintptr_t line : ctx->pending_lines_) {
-        if ((rng.Next() & 1) != 0) {
-          std::memcpy(shadow_.get() + line, pool_.get() + line, kCachelineBytes);
+        if (torn_seed.has_value() && (rng.Next() & 1) != 0) {
+          WriteShadowLine(line, pool_.get() + line);
           torn_lines_applied++;
         } else {
           lines_dropped++;
@@ -559,9 +532,34 @@ void PmDevice::CrashTorn(uint64_t seed) {
     }
   }
   stats_.AddCrash(lines_dropped + volatile_lines_lost, torn_lines_applied);
-  std::memcpy(pool_.get(), shadow_.get(), config_.pool_bytes);
+  RestorePoolFromShadow();
+  // Fresh boot: the XPBuffer is power-protected, so its content already lives
+  // in the shadow image; the model itself restarts cold.
   for (auto& xpbuffer : xpbuffers_) {
     xpbuffer->Drain([](bool, StreamTag, trace::Component, uint64_t) {});
+  }
+}
+
+void PmDevice::RestorePoolFromShadow() {
+  // Runs of written pages are copied back; a never-written run is all zero in
+  // the shadow, so the pool's pages go back to kernel zero-fill. The walk is
+  // ascending: if a kernel page larger than kTagPageBytes rounds a DONTNEED
+  // run up, the spill lands in the written run that is copied next.
+  const size_t num_pages = (config_.pool_bytes + kTagPageBytes - 1) / kTagPageBytes;
+  for (size_t page = 0; page < num_pages;) {
+    const uint8_t run_written = shadow_pages_[page].load(std::memory_order_relaxed);
+    size_t end = page + 1;
+    while (end < num_pages && shadow_pages_[end].load(std::memory_order_relaxed) == run_written) {
+      end++;
+    }
+    const size_t offset = page * kTagPageBytes;
+    const size_t len = std::min(end * kTagPageBytes, config_.pool_bytes) - offset;
+    if (run_written != 0) {
+      std::memcpy(pool_.get() + offset, shadow_.get() + offset, len);
+    } else if (::madvise(pool_.get() + offset, len, MADV_DONTNEED) != 0) {
+      std::memset(pool_.get() + offset, 0, len);
+    }
+    page = end;
   }
 }
 

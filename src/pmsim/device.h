@@ -13,7 +13,8 @@
 // pushed through the XPBuffer model, which generates media traffic on
 // eviction. Crash() restores the working image from the shadow image, so
 // unflushed/unfenced stores vanish exactly as they would on real ADR
-// hardware.
+// hardware. Every shadow write marks its 4 KB page in a monotone page map,
+// so the restore costs O(pages the shadow has seen), not O(pool_bytes).
 //
 // Everything backend-specific — the eADR flush-free domain with its modeled
 // CPU cache, the CXL page-buffer staging, the per-backend pmcheck rule
@@ -27,7 +28,9 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "src/common/lock.h"
@@ -114,11 +117,16 @@ class PmDevice {
   // Power failure: pending (unfenced) lines are lost, XPBuffer content is
   // preserved (it sits behind ADR), the working image is restored from the
   // persistent image. Callers must have quiesced all worker threads.
-  void Crash();
+  void Crash() { CrashWithSeed(std::nullopt); }
   // Like Crash(), but each pending unfenced line independently persists with
   // probability 1/2 (clwb without sfence *may* reach the DIMM). Exercises
   // recovery under torn fence groups.
-  void CrashTorn(uint64_t seed);
+  void CrashTorn(uint64_t seed) { CrashWithSeed(seed); }
+
+  // The shadow persistent image — what a crash restores the working image
+  // to — or null without crash_tracking. Read-only: every write to it goes
+  // through WriteShadowLine so the page map stays exact.
+  const std::byte* persistent_image() const { return shadow_.get(); }
 
   // Installs (or with nullptr removes) a crash-injection policy: every fence
   // reports to the injector before committing, which may throw
@@ -199,6 +207,24 @@ class PmDevice {
   // instructions (the <2% disabled-overhead contract, DESIGN.md §8).
   template <bool kTraced>
   void CommitLine(ThreadContext& ctx, uintptr_t line_offset, trace::Component comp);
+  // The one writer of the shadow image: copies the 64 B line image `src` to
+  // `line_offset` and marks the line's page written (a relaxed load first,
+  // so an already-marked page costs no store). No-op without crash_tracking.
+  void WriteShadowLine(uintptr_t line_offset, const std::byte* src) {
+    if (shadow_.data == nullptr) {
+      return;
+    }
+    std::memcpy(shadow_.get() + line_offset, src, kCachelineBytes);
+    std::atomic<uint8_t>& mark = shadow_pages_[line_offset / kTagPageBytes];
+    if (mark.load(std::memory_order_relaxed) == 0) {
+      mark.store(1, std::memory_order_relaxed);
+    }
+  }
+  // Crash() and CrashTorn(): with a torn seed, each pending line persists
+  // with probability 1/2; without one, every pending line is dropped.
+  void CrashWithSeed(std::optional<uint64_t> torn_seed);
+  // Makes the working image equal the shadow image in O(written pages).
+  void RestorePoolFromShadow();
   template <bool kTraced>
   void PushThroughXpBuffer(ThreadContext& ctx, uintptr_t line_offset, trace::Component comp);
   // Gate-dispatching wrapper for per-line callers off the fence loop (eADR
@@ -237,8 +263,11 @@ class PmDevice {
   void RegisterContext(ThreadContext* ctx);
   void UnregisterContext(ThreadContext* ctx);
 
-  // Pool and shadow image are anonymous mappings: zero-filled lazily by the
-  // kernel, so a large pool costs nothing until touched.
+  // Pool and shadow image are private anonymous mappings: zero-filled lazily
+  // by the kernel, so a large pool costs nothing until touched. A shadow page
+  // the page map has never marked is therefore still all zero, and the crash
+  // restore zeroes the pool's copy of it with madvise(MADV_DONTNEED) instead
+  // of copying it.
   struct Mapping {
     std::byte* data = nullptr;
     size_t bytes = 0;
@@ -283,6 +312,10 @@ class PmDevice {
   // registration/eviction well-defined.
   static constexpr size_t kTagPageBytes = 4096;
   std::unique_ptr<std::atomic<uint8_t>[]> page_tags_;
+  // Shadow page map, same 4 KB granularity: nonzero once WriteShadowLine has
+  // written into the page. Monotone (never cleared); null without
+  // crash_tracking.
+  std::unique_ptr<std::atomic<uint8_t>[]> shadow_pages_;
 
   mutable sync::Mutex contexts_mu_{"pm.contexts"};
   std::vector<ThreadContext*> contexts_ GUARDED_BY(contexts_mu_);

@@ -71,7 +71,10 @@ void MediaModel::PushAccountingOnly(PmDevice& device, uintptr_t line_offset) {
 
 std::byte* MediaModel::Pool(PmDevice& device) { return device.pool_.get(); }
 
-std::byte* MediaModel::Shadow(PmDevice& device) { return device.shadow_.get(); }
+void MediaModel::WriteShadowLine(PmDevice& device, uintptr_t line_offset,
+                                 const std::byte* src) {
+  device.WriteShadowLine(line_offset, src);
+}
 
 // --- EadrModel --------------------------------------------------------------
 
@@ -151,13 +154,6 @@ uint64_t EadrModel::ResidentLines() const {
 CxlMemModel::CxlMemModel(PmDevice& device, size_t unit_bytes, bool volatile_buffer)
     : device_(device), unit_bytes_(unit_bytes), volatile_buffer_(volatile_buffer) {}
 
-void CxlMemModel::CommitLineToShadowLocked(uintptr_t line_offset, const LineImage& image) {
-  std::byte* shadow = Shadow(device_);
-  if (shadow != nullptr) {
-    std::memcpy(shadow + line_offset, image.bytes, kCachelineBytes);
-  }
-}
-
 void CxlMemModel::StageCommittedLine(uintptr_t line_offset) {
   // Capture the content the fence committed — by eviction time the working
   // image may hold newer, not-yet-committed bytes.
@@ -176,7 +172,7 @@ void CxlMemModel::CommitStagedUnit(uint64_t unit) {
   for (uintptr_t line = first; line < first + unit_bytes_; line += kCachelineBytes) {
     auto it = staged_.find(line);
     if (it != staged_.end()) {
-      CommitLineToShadowLocked(line, it->second);
+      WriteShadowLine(device_, line, it->second.bytes);
       staged_.erase(it);
     }
   }
@@ -185,7 +181,7 @@ void CxlMemModel::CommitStagedUnit(uint64_t unit) {
 void CxlMemModel::CommitAllStaged() {
   sync::LockGuard<XpBufferLock> guard(mu_);
   for (const auto& [line, image] : staged_) {
-    CommitLineToShadowLocked(line, image);
+    WriteShadowLine(device_, line, image.bytes);
   }
   staged_.clear();
 }

@@ -126,7 +126,8 @@ class MediaModel {
                        trace::Component comp);
   static void PushAccountingOnly(PmDevice& device, uintptr_t line_offset);
   static std::byte* Pool(PmDevice& device);
-  static std::byte* Shadow(PmDevice& device);  // null without crash_tracking
+  // PmDevice::WriteShadowLine: the only way a backend writes the shadow.
+  static void WriteShadowLine(PmDevice& device, uintptr_t line_offset, const std::byte* src);
 };
 
 // ADR Optane: the backend the device's built-in commit loop models. All
@@ -183,8 +184,6 @@ class CxlMemModel final : public MediaModel {
   struct LineImage {
     std::byte bytes[kCachelineBytes];
   };
-
-  void CommitLineToShadowLocked(uintptr_t line_offset, const LineImage& image) REQUIRES(mu_);
 
   PmDevice& device_;
   const size_t unit_bytes_;

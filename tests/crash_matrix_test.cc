@@ -116,6 +116,28 @@ TEST(CrashMatrix, FastFairSurvivesFullMatrix) {
   EXPECT_EQ(result.torn_crashes, 0u);
 }
 
+// Every-fence coverage: nth = 1 crashes at each fence of the full workload,
+// on top of FullConfig's random, window and gc-window points. The sampled
+// tests above stay, so the suite's (fence, torn, torn_seed) set only grows.
+MatrixConfig EveryFenceConfig(const std::string& index) {
+  MatrixConfig config = FullConfig(index);
+  config.nth = 1;
+  return config;
+}
+
+TEST(CrashMatrix, CclBtreeSurvivesEveryFence) {
+  MatrixResult result = RunCrashMatrix(EveryFenceConfig("cclbtree"));
+  ExpectMatrixClean(result, /*min_points=*/result.total_fences);
+  EXPECT_GT(result.clean_crashes, 0u);
+  EXPECT_GT(result.torn_crashes, 0u);
+}
+
+TEST(CrashMatrix, FastFairSurvivesEveryFence) {
+  MatrixResult result = RunCrashMatrix(EveryFenceConfig("fastfair"));
+  ExpectMatrixClean(result, /*min_points=*/result.total_fences);
+  EXPECT_EQ(result.torn_crashes, 0u);
+}
+
 TEST(CrashMatrix, ResultIsDeterministicFromSeed) {
   MatrixConfig config;
   config.index = "cclbtree";

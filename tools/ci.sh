@@ -17,7 +17,8 @@
 #   5b. lockcheck: the full test suite (incl. the crash matrix) re-run with
 #      CCL_LOCKCHECK=1 so every test workload doubles as a locking-
 #      discipline check (DESIGN.md §16)
-#   6. crash: quick crash-injection matrix profile (ctest label "crash")
+#   6. crash: the crash-injection matrix (ctest label "crash"): sampled
+#      points plus a crash at every fence for cclbtree and fastfair
 #   6b. backend-matrix: the full test suite re-run under each non-default
 #      persistence-domain backend (CCL_BACKEND=eadr, then =cxl; DESIGN.md
 #      §14) so every test workload also runs in the flush-free and
@@ -28,6 +29,11 @@
 #   6d. pmctl: one small fig03 cclbtree run with both checkers on writes real
 #      .pmtrace/.pmmetrics dumps; pmctl stats, check, locks and series must
 #      all exit 0 on them (clean checkers, component sums hold per epoch)
+#   6e. perfbench smoke: python3 perfbench/run.py --smoke builds the repo
+#      benchmark and runs every workload small, traced and untraced: the
+#      torn crash -> restore -> Reopen -> Recover -> audit of every acked
+#      write end to end, plus the cross-process determinism check
+#      (prints SMOKE_OK)
 #   7. determinism: staged benches run twice with pmcheck enabled,
 #      virtual-metric tails diffed (run_benches.sh --determinism; §10 —
 #      diagnostics must not perturb virtual time); includes the
@@ -113,8 +119,9 @@ CCL_PMCHECK=1 ctest --test-dir build --output-on-failure -j"$(nproc)"
 echo "=== lockcheck: ctest with CCL_LOCKCHECK=1 (incl. crash matrix) ==="
 CCL_LOCKCHECK=1 ctest --test-dir build --output-on-failure -j"$(nproc)"
 
-# Quick crash-matrix profile: reruns just the crash-labelled tests so a
-# crash-consistency regression is named explicitly in the CI log (DESIGN.md §9).
+# Crash matrix: reruns just the crash-labelled tests (sampled and every-fence
+# points) so a crash-consistency regression is named explicitly in the CI log
+# (DESIGN.md §9).
 echo "=== crash: injection matrix ==="
 ctest --test-dir build -L crash --output-on-failure
 
@@ -150,6 +157,12 @@ for dump in "${PMCTL_DIR}"/m.*.pmmetrics; do
   ./build/tools/pmctl series "${dump}" >/dev/null
 done
 rm -rf "${PMCTL_DIR}"
+
+# Repo benchmark smoke: every workload at small size through the same
+# binary the benchmark runs, including the crash_recover audit of every
+# acked write after a torn crash. Exits non-zero unless SMOKE_OK.
+echo "=== perfbench: run.py --smoke ==="
+python3 perfbench/run.py --smoke
 
 # Determinism gate: the paper-figure benches must produce bit-identical
 # virtual-metric tails across back-to-back runs — including cclbtree rows
