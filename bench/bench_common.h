@@ -14,13 +14,13 @@
 #ifndef BENCH_BENCH_COMMON_H_
 #define BENCH_BENCH_COMMON_H_
 
-#include <cstdlib>
 #include <string>
 #include <vector>
 
 #include <benchmark/benchmark.h>
 
 #include "src/bench/driver.h"
+#include "src/common/env.h"
 #include "src/pmsim/media_model.h"
 #include "src/trace/component.h"
 
@@ -34,7 +34,6 @@ struct BackendSpec {
   pmsim::MediaBackend backend = pmsim::MediaBackend::kAdrOptane;
   size_t unit_bytes = 0;    // media-unit override (0 = DeviceConfig default)
   size_t buffer_bytes = 0;  // buffer-capacity override (0 = default)
-  bool cxl_volatile_buffer = false;
   bool crash_tracking = true;
 };
 
@@ -46,7 +45,6 @@ inline void ApplyBackendSpec(const BackendSpec& spec, pmsim::DeviceConfig& devic
   if (spec.buffer_bytes != 0) {
     device.xpbuffer_bytes = spec.buffer_bytes;
   }
-  device.cxl_volatile_buffer = spec.cxl_volatile_buffer;
   device.crash_tracking = spec.crash_tracking;
 }
 
@@ -55,22 +53,16 @@ inline void ApplyBackendSpec(const BackendSpec& spec, pmsim::DeviceConfig& devic
 // (buffer capacity held at 64 media units, as in bench_extra_cxl_pagesize).
 inline std::vector<BackendSpec> MatrixBackends() {
   std::vector<BackendSpec> specs;
-  specs.push_back({"adr", pmsim::MediaBackend::kAdrOptane, 0, 0, false, true});
-  specs.push_back({"eadr", pmsim::MediaBackend::kEadr, 0, 0, false, true});
-  specs.push_back({"cxl1024", pmsim::MediaBackend::kCxlMem, 1024, 64 * 1024, false, true});
-  specs.push_back({"cxl4096", pmsim::MediaBackend::kCxlMem, 4096, 64 * 4096, false, true});
+  specs.push_back({"adr", pmsim::MediaBackend::kAdrOptane, 0, 0, true});
+  specs.push_back({"eadr", pmsim::MediaBackend::kEadr, 0, 0, true});
+  specs.push_back({"cxl1024", pmsim::MediaBackend::kCxlMem, 1024, 64 * 1024, true});
+  specs.push_back({"cxl4096", pmsim::MediaBackend::kCxlMem, 4096, 64 * 4096, true});
   return specs;
 }
 
 inline uint64_t BenchScale(uint64_t default_ops = 400'000) {
-  const char* env = std::getenv("CCL_BENCH_SCALE");
-  if (env != nullptr) {
-    uint64_t v = std::strtoull(env, nullptr, 10);
-    if (v > 0) {
-      return v;
-    }
-  }
-  return default_ops;
+  uint64_t scale = env::Get().bench_scale;
+  return scale != 0 ? scale : default_ops;
 }
 
 inline void SetCommonCounters(benchmark::State& state, const RunResult& result) {

@@ -9,6 +9,7 @@
 
 #include "src/bench/metrics_dump.h"
 #include "src/bench/trace_dump.h"
+#include "src/common/env.h"
 #include "src/common/rng.h"
 #include "src/common/zipfian.h"
 #include "src/metrics/clock.h"
@@ -157,7 +158,8 @@ RunResult RunWorkload(kvindex::Runtime& runtime, kvindex::KvIndex& index,
         "gc_epoch_ops ignored: driver-paced GC requires sequential "
         "scheduling (os_parallel=true races the shared op counter)");
   }
-  if (config.os_parallel && (config.metrics || MetricsDumpRequested()) && config.ops > 0) {
+  const bool metrics_dump = !env::Get().metrics_prefix.empty();  // CCL_METRICS
+  if (config.os_parallel && (config.metrics || metrics_dump) && config.ops > 0) {
     warnings.emplace_back(
         "metrics epoch series not collected: virtual-time epochs require "
         "sequential scheduling (os_parallel=true); only end-of-run totals "
@@ -208,7 +210,7 @@ RunResult RunWorkload(kvindex::Runtime& runtime, kvindex::KvIndex& index,
   // pmtrace: event tracing covers the measurement phase only. Rings are
   // cleared first so a dump shows this phase, not the warm-up; contexts
   // created below pick up rings because tracing is already enabled.
-  const bool tracing = TraceDumpRequested();
+  const bool tracing = !env::Get().trace_prefix.empty();  // CCL_TRACE
   if (tracing) {
     trace::ClearRings();
     trace::SetEnabled(true);
@@ -218,7 +220,6 @@ RunResult RunWorkload(kvindex::Runtime& runtime, kvindex::KvIndex& index,
   }
   // Metrics registry: covers the measurement phase only (Reset after warm).
   // CPU-side by construction — enabling it cannot move a virtual metric.
-  const bool metrics_dump = MetricsDumpRequested();
   const bool metrics_on = config.metrics || config.collect_latency || metrics_dump;
   if (metrics_on) {
     metrics::Reset();
@@ -448,17 +449,8 @@ RunResult RunIndexWorkload(const std::string& index_name, const RunConfig& confi
   runtime_options.device.pool_bytes = pool_bytes;
   // When a trace dump is requested, also record the per-XPLine heatmap (the
   // counters only exist when enabled at device construction).
-  runtime_options.device.record_unit_heatmap = TraceDumpRequested();
-  runtime_options.device.pmcheck = config.pmcheck;
-  runtime_options.device.lockcheck = config.lockcheck;
+  runtime_options.device.record_unit_heatmap = !env::Get().trace_prefix.empty();
   runtime_options.device.backend = config.backend;
-  if (config.media_unit_bytes != 0) {
-    runtime_options.device.xpline_bytes = config.media_unit_bytes;
-  }
-  if (config.media_buffer_bytes != 0) {
-    runtime_options.device.xpbuffer_bytes = config.media_buffer_bytes;
-  }
-  runtime_options.device.cxl_volatile_buffer = config.cxl_volatile_buffer;
   kvindex::Runtime runtime(runtime_options);
   auto index = MakeIndex(index_name, runtime, index_config);
   const std::string label = config.trace_label.empty() ? index_name : config.trace_label;

@@ -1,9 +1,10 @@
 #include "src/bench/metrics_dump.h"
 
 #include <atomic>
-#include <cstdlib>
 #include <fstream>
 
+#include "src/bench/trace_dump.h"
+#include "src/common/env.h"
 #include "src/pmsim/media_model.h"
 #include "src/trace/component.h"
 
@@ -12,19 +13,6 @@ namespace cclbt::bench {
 namespace {
 
 std::atomic<int> g_metrics_dump_seq{0};
-
-// File-name-safe version of a run label (same rules as trace_dump).
-std::string Sanitize(const std::string& label) {
-  std::string out = label.empty() ? "run" : label;
-  for (char& c : out) {
-    bool ok = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || (c >= '0' && c <= '9') ||
-              c == '-' || c == '_' || c == '.';
-    if (!ok) {
-      c = '-';
-    }
-  }
-  return out;
-}
 
 }  // namespace
 
@@ -73,13 +61,11 @@ metrics::EpochSeries EpochRecorder::Finish(uint64_t end_ns) {
   return std::move(epochs_);
 }
 
-bool MetricsDumpRequested() { return std::getenv("CCL_METRICS") != nullptr; }
-
 std::string WriteMetricsDump(const std::string& label, const pmsim::PmDevice& device,
                              uint64_t threads, uint64_t ops, const metrics::EpochSeries& epochs,
                              const metrics::MetricsSnapshot& totals, uint64_t elapsed_virtual_ns) {
-  const char* prefix = std::getenv("CCL_METRICS");
-  if (prefix == nullptr || prefix[0] == '\0') {
+  const std::string& prefix = env::Get().metrics_prefix;
+  if (prefix.empty()) {
     return std::string();
   }
   metrics::PmMetricsHeader header;
@@ -106,7 +92,7 @@ std::string WriteMetricsDump(const std::string& label, const pmsim::PmDevice& de
 
   int seq = g_metrics_dump_seq.fetch_add(1, std::memory_order_relaxed);
   std::string path =
-      std::string(prefix) + "." + std::to_string(seq) + "." + Sanitize(label) + ".pmmetrics";
+      prefix + "." + std::to_string(seq) + "." + SanitizeLabel(label) + ".pmmetrics";
   std::ofstream out(path);
   if (!out) {
     return std::string();

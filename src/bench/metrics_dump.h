@@ -62,10 +62,6 @@ class EpochRecorder {
   metrics::MetricsSnapshot prev_metrics_;
 };
 
-// True when CCL_METRICS is set in the environment: the driver enables the
-// metrics registry for the measured phase and writes one dump per run.
-bool MetricsDumpRequested();
-
 // Writes "<CCL_METRICS>.<seq>.<label>.pmmetrics" for one finished phase: the
 // header (label, `device`'s backend, `threads`, `ops`, name tables), the
 // epoch series and the summary of the registry `totals`. seq is a

@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cstdlib>
 #include <fstream>
 
+#include "src/common/env.h"
 #include "src/pmsim/media_model.h"
 #include "src/trace/trace.h"
 
@@ -27,8 +27,9 @@ const char* TagName(int tag) {
   }
 }
 
-// File-name-safe version of a run label.
-std::string Sanitize(const std::string& label) {
+}  // namespace
+
+std::string SanitizeLabel(const std::string& label) {
   std::string out = label.empty() ? "run" : label;
   for (char& c : out) {
     bool ok = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || (c >= '0' && c <= '9') ||
@@ -40,24 +41,15 @@ std::string Sanitize(const std::string& label) {
   return out;
 }
 
-}  // namespace
-
-bool TraceDumpRequested() { return std::getenv("CCL_TRACE") != nullptr; }
-
-std::string TraceDumpPrefix() {
-  const char* prefix = std::getenv("CCL_TRACE");
-  return prefix == nullptr ? std::string() : std::string(prefix);
-}
-
 std::string WriteTraceDump(kvindex::Runtime& runtime, const std::string& label,
                            const pmsim::StatsSnapshot& stats, double elapsed_virtual_ms) {
-  std::string prefix = TraceDumpPrefix();
+  const std::string& prefix = env::Get().trace_prefix;
   if (prefix.empty()) {
     return std::string();
   }
   int seq = g_dump_seq.fetch_add(1, std::memory_order_relaxed);
   std::string path =
-      prefix + "." + std::to_string(seq) + "." + Sanitize(label) + ".pmtrace";
+      prefix + "." + std::to_string(seq) + "." + SanitizeLabel(label) + ".pmtrace";
   std::ofstream out(path);
   if (!out) {
     return std::string();
@@ -67,7 +59,7 @@ std::string WriteTraceDump(kvindex::Runtime& runtime, const std::string& label,
   // Version 2: checker sections use the shared check* grammar
   // (src/pmsim/check_report.h) and the stats timeline is gone.
   out << "pmtrace 2\n";
-  out << "label " << Sanitize(label) << "\n";
+  out << "label " << SanitizeLabel(label) << "\n";
   out << "config pool_bytes " << dc.pool_bytes << "\n";
   out << "config num_sockets " << dc.num_sockets << "\n";
   out << "config dimms_per_socket " << dc.dimms_per_socket << "\n";

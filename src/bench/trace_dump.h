@@ -17,14 +17,11 @@
 
 namespace cclbt::bench {
 
-// True when CCL_TRACE is set in the environment: the driver enables event
-// tracing for the measured phase and writes one dump per run.
-bool TraceDumpRequested();
+// File-name-safe version of a run label ("run" when empty); the label part of
+// every dump file name.
+std::string SanitizeLabel(const std::string& label);
 
-// The CCL_TRACE value (path prefix), or "" when unset.
-std::string TraceDumpPrefix();
-
-// Writes "<prefix>.<seq>.<label>.pmtrace" (seq is a process-wide counter so
+// Writes "<CCL_TRACE>.<seq>.<label>.pmtrace" (seq is a process-wide counter so
 // a bench binary that runs many indexes produces distinct files). Collects
 // the trace rings itself. Returns the path written, or "" on failure.
 std::string WriteTraceDump(kvindex::Runtime& runtime, const std::string& label,

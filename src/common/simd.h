@@ -13,11 +13,11 @@
 //
 // Every primitive has an always-compiled scalar fallback (the only path on
 // non-x86 builds) and SSE2/AVX2 variants selected once at startup via
-// __builtin_cpu_supports. The CCL_SIMD environment variable overrides
-// detection: "off"/"scalar" forces the fallback (CI runs tier-1 this way so
-// the scalar path stays exercised), "sse2"/"avx2" cap the level. Tests and
-// benches can pin a level in-process with ForceLevel (A/B medians in
-// bench_pmsim_hotpath compare forced-scalar against the detected level).
+// __builtin_cpu_supports. The CCL_SIMD environment variable (src/common/env.h)
+// overrides detection: "off"/"scalar" forces the fallback (CI runs tier-1
+// this way so the scalar path stays exercised), "sse2"/"avx2" cap the level.
+// Tests can pin a level in-process with ForceLevel, which wins over
+// CCL_SIMD.
 //
 // Contract: for identical inputs every variant returns identical results —
 // tests/simd_test.cc asserts this property over randomized bitmaps,
@@ -29,8 +29,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <cstdlib>
-#include <cstring>
 
 #if defined(__x86_64__) || defined(__i386__)
 #define CCL_SIMD_X86 1
@@ -38,6 +36,8 @@
 #else
 #define CCL_SIMD_X86 0
 #endif
+
+#include "src/common/env.h"
 
 namespace cclbt::simd {
 
@@ -88,39 +88,15 @@ inline Level MaxSupportedLevel() {
   return Level::kScalar;
 }
 
-// CCL_SIMD override parsing, exposed for unit tests. Unrecognized values
-// fall back to auto-detection (returns -1).
-inline int ParseLevelOverride(const char* value) {
-  if (value == nullptr) {
-    return -1;
-  }
-  if (std::strcmp(value, "off") == 0 || std::strcmp(value, "scalar") == 0 ||
-      std::strcmp(value, "0") == 0) {
-    return static_cast<int>(Level::kScalar);
-  }
-  if (std::strcmp(value, "sse2") == 0) {
-    return static_cast<int>(Level::kSse2);
-  }
-  if (std::strcmp(value, "avx2") == 0) {
-    return static_cast<int>(Level::kAvx2);
-  }
-  return -1;
-}
-
 namespace detail {
 // -1 = no in-process override; otherwise the forced Level.
 inline std::atomic<int> g_forced_level{-1};
 
+// CCL_SIMD (env::Snapshot::simd_level) caps the detected level.
 inline Level DetectLevel() {
   Level max = MaxSupportedLevel();
-  int override_level = ParseLevelOverride(std::getenv("CCL_SIMD"));
-  if (override_level >= 0 && override_level < static_cast<int>(max)) {
-    return static_cast<Level>(override_level);
-  }
-  if (override_level >= 0) {
-    return max;  // cannot force above hardware support
-  }
-  return max;
+  int cap = env::Get().simd_level;
+  return cap >= 0 && cap < static_cast<int>(max) ? static_cast<Level>(cap) : max;
 }
 }  // namespace detail
 
@@ -134,8 +110,7 @@ inline Level ActiveLevel() {
 }
 
 // Pins the dispatch level in-process (clamped to hardware support); used by
-// tests to exercise every path and by the bench A/B harness. ClearForce
-// returns to env/auto detection.
+// tests to exercise every path. ClearForce returns to env/auto detection.
 inline void ForceLevel(Level level) {
   Level max = MaxSupportedLevel();
   if (static_cast<int>(level) > static_cast<int>(max)) {

@@ -111,11 +111,6 @@ class CclBTree : public kvindex::KvIndex {
   // relaxed counters/accessors, no pmsim traffic.
   void SampleGauges(std::vector<std::pair<std::string, uint64_t>>* out) const override;
 
-  // Bench A/B knob: route inner-index reads through the shared_mutex instead
-  // of the optimistic version-validated descent (the pre-optimization
-  // behavior). Semantically neutral; wall-clock only.
-  void set_locked_inner_reads(bool locked) { inner_.set_locked_reads(locked); }
-
   // Walks the persistent leaf list and verifies structural invariants
   // (ordering between leaves, bitmap/fingerprint agreement). Test hook.
   bool CheckInvariants() const;

@@ -44,12 +44,6 @@ kvindex::RuntimeOptions RuntimeOptionsFor(const MatrixConfig& config) {
   options.device.num_sockets = 1;
   options.device.dimms_per_socket = 1;
   options.device.backend = config.backend;
-  if (config.media_unit_bytes != 0) {
-    options.device.xpline_bytes = config.media_unit_bytes;
-    // Keep buffer capacity at 64 media units, as in the CXL page sweep.
-    options.device.xpbuffer_bytes = 64 * config.media_unit_bytes;
-  }
-  options.device.cxl_volatile_buffer = config.cxl_volatile_buffer;
   return options;
 }
 

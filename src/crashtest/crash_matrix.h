@@ -73,9 +73,6 @@ struct MatrixConfig {
   // crash window to nothing (acked stores are durable at the cacheline),
   // kCxlMem widens it to a media page.
   pmsim::MediaBackend backend = pmsim::MediaBackend::kAuto;
-  // CXL geometry for backend == kCxlMem (0 = DeviceConfig defaults).
-  size_t media_unit_bytes = 0;
-  bool cxl_volatile_buffer = false;
 };
 
 // Fence-count window [first_fence, last_fence] (1-based, inclusive) of one

@@ -34,9 +34,8 @@ inline constexpr size_t kLinesPerXpline = kXplineBytes / kCachelineBytes;  // 4
 //   kCxlMem     CXL memory-semantic device: page-granular write combining
 //               (xpline_bytes up to 4 KB); optionally a volatile internal
 //               buffer, giving a page-sized crash window.
-//   kAuto       resolve at device construction: the legacy `eadr` flag maps
-//               to kEadr, else the CCL_BACKEND environment selector
-//               (adr | eadr | cxl), else kAdrOptane.
+//   kAuto       resolve at device construction: the CCL_BACKEND selector
+//               (adr | eadr | cxl), else kAdrOptane (ResolveMediaBackend).
 enum class MediaBackend : uint8_t {
   kAuto = 0,
   kAdrOptane = 1,
@@ -94,14 +93,8 @@ struct DeviceConfig {
   size_t interleave_bytes = 4096;
   // Persistence-domain backend; kAuto resolves at device construction (see
   // MediaBackend above). After construction PmDevice::config().backend is
-  // always a concrete backend, and `eadr` below mirrors it.
+  // always a concrete backend.
   MediaBackend backend = MediaBackend::kAuto;
-  // Legacy eADR switch, kept for existing configs: equivalent to
-  // backend = kEadr when `backend` is kAuto. In eADR, flushes are free for
-  // persistence, but dirty lines reach the XPBuffer via a modeled CPU-cache
-  // eviction stream with randomized order (reproducing the paper's §5.5
-  // observation that implicit evictions destroy XPLine locality).
-  bool eadr = false;
   // kCxlMem only: model the device-internal page buffer as volatile — fence
   // commits stage line contents in the buffer and they only reach the
   // persistence boundary when the containing media unit is evicted (or at a
@@ -119,9 +112,9 @@ struct DeviceConfig {
   // pool) for the pmtrace heatmap exporter. One extra relaxed increment per
   // media write while on; off by default.
   bool record_unit_heatmap = false;
-  // Enable pmcheck, the persistency-ordering checker (DESIGN.md §11). The
-  // CCL_PMCHECK environment variable overrides this at device construction
-  // ("1" forces on, "0" forces off). Requires the shadow image, so
+  // Enable pmcheck, the persistency-ordering checker (DESIGN.md §11). When
+  // false, CCL_PMCHECK=1 turns it on at device construction (the precedence
+  // rule of src/common/env.h). Requires the shadow image, so
   // crash_tracking is forced on. Diagnostic severity is backend-dependent
   // (MediaModel::check_action, DESIGN.md §14): e.g. a redundant flush is a
   // real violation on ADR but informational on eADR, where flushes are free.
@@ -129,10 +122,10 @@ struct DeviceConfig {
   bool pmcheck = false;
   // Enable lockcheck, the locking-discipline checker (DESIGN.md §16): Eraser
   // lockset analysis over PM cachelines, lock-order cycle detection, and the
-  // fence-publish cross-check against pmcheck. The CCL_LOCKCHECK environment
-  // variable overrides this at device construction ("1" forces on, "0"
-  // forces off). Independent of pmcheck (the cross-check simply degrades to
-  // informational without it). Diagnostics never touch virtual time.
+  // fence-publish cross-check against pmcheck. When false, CCL_LOCKCHECK=1
+  // turns it on at device construction. Independent of pmcheck (the
+  // cross-check simply degrades to informational without it). Diagnostics
+  // never touch virtual time.
   bool lockcheck = false;
   CostParams cost;
 

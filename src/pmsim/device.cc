@@ -4,9 +4,9 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cstdlib>
 #include <cstring>
 
+#include "src/common/env.h"
 #include "src/common/rng.h"
 #include "src/pmsim/lockcheck.h"
 #include "src/pmsim/media_model.h"
@@ -105,21 +105,32 @@ void ThreadContext::SetCurrent(ThreadContext* ctx) {
   BindTraceFor(ctx);
 }
 
+void ThreadContext::ResetClock(uint64_t to_ns) {
+  const bool bound = tl_current_context == this;
+  if (bound) {
+    BindTraceFor(nullptr);  // charges the pending time against the old clock
+  }
+  now_ns_.store(to_ns, std::memory_order_relaxed);
+  if (bound) {
+    BindTraceFor(this);
+  }
+}
+
 PmDevice::PmDevice(const DeviceConfig& config)
     : config_(config),
       dimm_busy_until_ns_(static_cast<size_t>(config.total_dimms())) {
   assert(config_.pool_bytes % (config_.socket_region_bytes()) == 0);
-  // Backend resolution comes first: the CCL_BACKEND=cxl selector may change
-  // the media-unit geometry the shift caches below derive from.
-  ResolveMediaBackend(config_);
-  // pmcheck enablement resolves before the mappings: the checker needs the
-  // shadow image, so it forces crash_tracking on. CCL_PMCHECK overrides the
-  // config flag in either direction ("0" turns a configured checker off for
-  // A/B runs). Severity per class is the backend's call (the MediaModel rule
-  // table), not an on/off switch here.
-  if (const char* env = std::getenv("CCL_PMCHECK"); env != nullptr && env[0] != '\0') {
-    config_.pmcheck = env[0] == '1';
-  }
+  // Environment defaults resolve first, by the one precedence rule of
+  // src/common/env.h (an explicit config choice wins). Backend resolution
+  // comes first: the CCL_BACKEND=cxl selector may change the media-unit
+  // geometry the shift caches below derive from. pmcheck enablement
+  // resolves before the mappings: the checker needs the shadow image, so it
+  // forces crash_tracking on. Severity per class is the backend's call (the
+  // MediaModel rule table), not an on/off switch here.
+  const env::Snapshot& from_env = env::Get();
+  ResolveMediaBackend(config_, from_env);
+  config_.pmcheck = config_.pmcheck || from_env.pmcheck;
+  config_.lockcheck = config_.lockcheck || from_env.lockcheck;
   if (config_.pmcheck) {
     config_.crash_tracking = true;
   }
@@ -164,11 +175,8 @@ PmDevice::PmDevice(const DeviceConfig& config)
   if (config_.pmcheck) {
     pmcheck_ = std::make_unique<PmCheck>(*this);
   }
-  // Lockcheck resolves after pmcheck: its fence cross-check reads pmcheck's
-  // shadow state when both are on, but neither requires the other.
-  if (const char* env = std::getenv("CCL_LOCKCHECK"); env != nullptr && env[0] != '\0') {
-    config_.lockcheck = env[0] == '1';
-  }
+  // Lockcheck is created after pmcheck: its fence cross-check reads
+  // pmcheck's shadow state when both are on, but neither requires the other.
   if (config_.lockcheck) {
     lockcheck_ = std::make_unique<LockCheck>(*this);
   }

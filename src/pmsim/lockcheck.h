@@ -57,11 +57,12 @@
 //    protocol-synchronized by construction (recovery's timestamp-ordered log
 //    scan) and skip the state machine entirely.
 //
-// Enablement and cost: CCL_LOCKCHECK=1 (or DeviceConfig::lockcheck /
-// RunConfig::lockcheck). Disabled, the wrappers pay one atomic load + branch
-// per lock operation and the device one pointer test per flush/fence/read —
-// no pmsim calls, no virtual-time writes, so virtual metrics are bit-
-// identical with the checker on, off, or absent (DESIGN.md §10).
+// Enablement and cost: DeviceConfig::lockcheck, or CCL_LOCKCHECK=1 for
+// every device whose config leaves it off (src/common/env.h). Disabled, the
+// wrappers pay one atomic load + branch per lock operation and the device
+// one pointer test per flush/fence/read — no pmsim calls, no virtual-time
+// writes, so virtual metrics are bit-identical with the checker on, off, or
+// absent (DESIGN.md §10).
 #ifndef SRC_PMSIM_LOCKCHECK_H_
 #define SRC_PMSIM_LOCKCHECK_H_
 

@@ -1,10 +1,8 @@
 #include "src/pmsim/media_model.h"
 
 #include <algorithm>
-#include <cstdlib>
 #include <cstring>
 #include <mutex>
-#include <string_view>
 
 #include "src/pmsim/device.h"
 #include "src/pmsim/thread_context.h"
@@ -22,40 +20,21 @@ const char* MediaBackendName(MediaBackend backend) {
   return "?";
 }
 
-void ResolveMediaBackend(DeviceConfig& config) {
-  if (config.backend == MediaBackend::kAuto && config.eadr) {
+void ResolveMediaBackend(DeviceConfig& config, const env::Snapshot& from_env) {
+  if (config.backend != MediaBackend::kAuto) {
+    return;
+  }
+  config.backend = MediaBackend::kAdrOptane;
+  if (from_env.backend == env::Backend::kEadr) {
     config.backend = MediaBackend::kEadr;
+  } else if (from_env.backend == env::Backend::kCxl) {
+    config.backend = MediaBackend::kCxlMem;
+    config.xpline_bytes = from_env.cxl_page;
+    // Hold at least 64 media units regardless of page size, so the env
+    // selector isolates the granularity effect (the same constant-units
+    // choice as the extra_cxl page-size sweep).
+    config.xpbuffer_bytes = std::max(config.xpbuffer_bytes, 64 * from_env.cxl_page);
   }
-  if (config.backend == MediaBackend::kAuto) {
-    if (const char* env = std::getenv("CCL_BACKEND"); env != nullptr && env[0] != '\0') {
-      std::string_view selector(env);
-      if (selector == "adr" || selector == "adr_optane") {
-        config.backend = MediaBackend::kAdrOptane;
-      } else if (selector == "eadr") {
-        config.backend = MediaBackend::kEadr;
-      } else if (selector == "cxl" || selector == "cxlmem") {
-        config.backend = MediaBackend::kCxlMem;
-        size_t page = 4096;
-        if (const char* p = std::getenv("CCL_CXL_PAGE"); p != nullptr && p[0] != '\0') {
-          size_t requested = std::strtoull(p, nullptr, 10);
-          bool pow2 = requested != 0 && (requested & (requested - 1)) == 0;
-          if (pow2 && requested >= kXplineBytes && requested <= 4096) {
-            page = requested;
-          }
-        }
-        config.xpline_bytes = page;
-        // Hold at least 64 media units regardless of page size, so the env
-        // selector isolates the granularity effect (the same constant-units
-        // choice as the extra_cxl page-size sweep).
-        config.xpbuffer_bytes = std::max(config.xpbuffer_bytes, 64 * page);
-      }
-      // Unknown selector values fall through to the ADR default.
-    }
-  }
-  if (config.backend == MediaBackend::kAuto) {
-    config.backend = MediaBackend::kAdrOptane;
-  }
-  config.eadr = config.backend == MediaBackend::kEadr;
 }
 
 MediaModel::~MediaModel() = default;

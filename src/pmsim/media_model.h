@@ -46,6 +46,7 @@
 #include <memory>
 #include <unordered_map>
 
+#include "src/common/env.h"
 #include "src/common/rng.h"
 #include "src/pmsim/config.h"
 #include "src/pmsim/pmcheck.h"
@@ -61,12 +62,12 @@ class ThreadContext;
 // dump headers and bench row names. kAuto maps to "auto".
 const char* MediaBackendName(MediaBackend backend);
 
-// Resolves config.backend in place to a concrete backend: the legacy `eadr`
-// flag wins when backend is kAuto, then the CCL_BACKEND environment selector
-// (adr | eadr | cxl; cxl also applies CCL_CXL_PAGE, default 4096, to
-// xpline_bytes and sizes the combining buffer to hold 64 pages), then
-// kAdrOptane. Afterwards config.eadr mirrors the resolved backend.
-void ResolveMediaBackend(DeviceConfig& config);
+// Resolves config.backend in place to a concrete backend, by the one
+// precedence rule of src/common/env.h: an explicit (non-kAuto) backend
+// stays; otherwise the CCL_BACKEND selector in `from_env` applies (cxl also sets
+// xpline_bytes to CCL_CXL_PAGE, default 4096, and sizes the combining buffer
+// to hold 64 pages); otherwise kAdrOptane.
+void ResolveMediaBackend(DeviceConfig& config, const env::Snapshot& from_env);
 
 class MediaModel {
  public:

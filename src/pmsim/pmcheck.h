@@ -36,8 +36,8 @@
 // address, and a short ring of recent events; `pmctl check` prints attributed
 // reports from a .pmtrace dump and exits nonzero on violations.
 //
-// Enablement and cost: CCL_PMCHECK=1 (or DeviceConfig::pmcheck /
-// RunConfig::pmcheck). Disabled cost follows the PR 2 playbook — one gate
+// Enablement and cost: DeviceConfig::pmcheck, or CCL_PMCHECK=1 for every
+// device whose config leaves it off (src/common/env.h). Disabled cost follows the PR 2 playbook — one gate
 // read per fence picking a template-specialized commit path
 // (CommitPending<kTraced, kChecked>) plus one pointer test per
 // FlushLine/ReadPm, the same pattern as the crash injector. The checker never

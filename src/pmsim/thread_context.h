@@ -62,7 +62,11 @@ class ThreadContext {
   void AdvanceCpu(uint64_t ns) {
     now_ns_.store(now_ns_.load(std::memory_order_relaxed) + ns, std::memory_order_relaxed);
   }
-  void ResetClock(uint64_t to_ns = 0) { now_ns_.store(to_ns, std::memory_order_relaxed); }
+  // Sets the clock, e.g. forward over an idle gap or back to 0 for a new
+  // phase. A jump is not work: on the thread where this context is current,
+  // scope timing charges what was pending up to the old time and restarts
+  // at the new one.
+  void ResetClock(uint64_t to_ns = 0);
   // Stable address of the clock, bound into the trace library so scopes can
   // timestamp against this worker's virtual time.
   const std::atomic<uint64_t>* now_ns_addr() const { return &now_ns_; }

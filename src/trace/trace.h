@@ -142,11 +142,33 @@ size_t RingCapacity();
 // Per-thread binding, maintained by pmsim::ThreadContext.
 // ---------------------------------------------------------------------------
 
+namespace detail {
+// Charges virtual time since the last mark to `comp` (exclusive-time
+// accounting: an inner scope's time never double-counts in its parent).
+inline void ChargeScopeTimeUpTo(uint8_t comp) {
+  const std::atomic<uint64_t>* clock = tl_binding.vclock;
+  uint64_t now = clock == nullptr ? 0 : clock->load(std::memory_order_relaxed);
+  ThreadBinding& b = tl_binding;
+  if (now > b.last_mark) {
+    b.comp_ns[comp] += now - b.last_mark;
+  }
+  b.last_mark = now;  // also resynchronizes after a clock reset
+}
+}  // namespace detail
+
 // Installs the current logical worker's ring + virtual clock in this OS
-// thread's slots. Pass nulls when no worker is current.
+// thread's slots. Pass nulls when no worker is current. Under scope timing
+// the outgoing clock's pending time is charged to the current component
+// first, and the mark restarts at the incoming clock, so one worker's time
+// is never measured against another worker's clock.
 inline void BindThread(TraceRing* ring, const std::atomic<uint64_t>* vclock) {
-  detail::tl_binding.ring = ring;
-  detail::tl_binding.vclock = vclock;
+  detail::ThreadBinding& b = detail::tl_binding;
+  if (ScopeTimingEnabled()) {
+    detail::ChargeScopeTimeUpTo(b.component);
+  }
+  b.ring = ring;
+  b.vclock = vclock;
+  b.last_mark = vclock == nullptr ? 0 : vclock->load(std::memory_order_relaxed);
 }
 
 void SetRingFactory(detail::RingFactory factory);
@@ -163,20 +185,6 @@ inline uint64_t ThreadVirtualNow() {
 inline Component CurrentComponent() {
   return static_cast<Component>(detail::tl_binding.component);
 }
-
-namespace detail {
-// Charges virtual time since the last mark to `comp` (exclusive-time
-// accounting: an inner scope's time never double-counts in its parent).
-inline void ChargeScopeTimeUpTo(uint8_t comp) {
-  const std::atomic<uint64_t>* clock = tl_binding.vclock;
-  uint64_t now = clock == nullptr ? 0 : clock->load(std::memory_order_relaxed);
-  ThreadBinding& b = tl_binding;
-  if (now > b.last_mark) {
-    b.comp_ns[comp] += now - b.last_mark;
-  }
-  b.last_mark = now;  // also resynchronizes after a clock reset/worker switch
-}
-}  // namespace detail
 
 // Charges time up to "now" to the current component. The bench driver calls
 // this at operation boundaries so ThreadComponentNs() deltas cover the whole

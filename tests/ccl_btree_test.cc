@@ -20,9 +20,12 @@ using kvindex::KeyValue;
 using kvindex::Runtime;
 using kvindex::RuntimeOptions;
 
-std::unique_ptr<Runtime> MakeRuntime(size_t pool_bytes = 256 << 20) {
+// kAuto follows CCL_BACKEND; cases asserting ADR figures pin kAdrOptane.
+std::unique_ptr<Runtime> MakeRuntime(size_t pool_bytes = 256 << 20,
+                                     pmsim::MediaBackend backend = pmsim::MediaBackend::kAuto) {
   RuntimeOptions options;
   options.device.pool_bytes = pool_bytes;
+  options.device.backend = backend;
   options.device.num_sockets = 2;
   options.device.dimms_per_socket = 2;
   return std::make_unique<Runtime>(options);
@@ -242,9 +245,10 @@ TEST_F(CclBTreeTest, DeleteHeavyWorkloadTriggersMerges) {
 
 TEST_F(CclBTreeTest, XbiLowerThanUnbufferedBase) {
   // The headline claim: leaf-node centric buffering reduces media writes per
-  // user byte vs writing each KV straight to a random leaf (§3.5).
+  // user byte vs writing each KV straight to a random leaf (§3.5). The
+  // margin is ADR's: 256 B XPLines behind explicit flushes.
   auto measure = [](bool buffering) {
-    auto rt = MakeRuntime();
+    auto rt = MakeRuntime(256 << 20, pmsim::MediaBackend::kAdrOptane);
     TreeOptions options;
     options.background_gc = false;
     options.buffering = buffering;

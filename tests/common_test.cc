@@ -4,10 +4,12 @@
 #include <cstdint>
 #include <map>
 #include <set>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "src/common/env.h"
 #include "src/common/fingerprint.h"
 #include "src/common/keyspace.h"
 #include "src/common/ordo.h"
@@ -208,6 +210,106 @@ TEST(Ycsb, ScanInsertMix) {
     scans += picker.Next() == OpType::kScan;
   }
   EXPECT_NEAR(scans / 100000.0, 0.95, 0.02);
+}
+
+// --- environment parsing (src/common/env.h) ---------------------------------
+
+env::ParseResult ParseEnv(const std::map<std::string, std::string>& vars) {
+  return env::Parse([&vars](const char* name) -> const char* {
+    auto it = vars.find(name);
+    return it == vars.end() ? nullptr : it->second.c_str();
+  });
+}
+
+TEST(Env, UnsetEnvironmentGivesBuiltInDefaults) {
+  env::ParseResult parsed = ParseEnv({});
+  EXPECT_EQ(parsed.error, "");
+  const env::Snapshot& s = parsed.snapshot;
+  EXPECT_EQ(s.backend, env::Backend::kUnset);
+  EXPECT_EQ(s.cxl_page, 4096u);
+  EXPECT_FALSE(s.pmcheck);
+  EXPECT_FALSE(s.lockcheck);
+  EXPECT_EQ(s.simd_level, -1);
+  EXPECT_EQ(s.trace_prefix, "");
+  EXPECT_EQ(s.metrics_prefix, "");
+  EXPECT_EQ(s.bench_scale, 0u);
+}
+
+TEST(Env, EmptyValueMeansUnset) {
+  env::ParseResult parsed = ParseEnv({{"CCL_BACKEND", ""},
+                                      {"CCL_CXL_PAGE", ""},
+                                      {"CCL_PMCHECK", ""},
+                                      {"CCL_LOCKCHECK", ""},
+                                      {"CCL_SIMD", ""},
+                                      {"CCL_TRACE", ""},
+                                      {"CCL_METRICS", ""},
+                                      {"CCL_BENCH_SCALE", ""}});
+  EXPECT_EQ(parsed.error, "");
+  // An empty CCL_TRACE / CCL_METRICS requests no dump (and so no tracing or
+  // metrics collection) rather than a dump with an empty path.
+  EXPECT_EQ(parsed.snapshot.trace_prefix, "");
+  EXPECT_EQ(parsed.snapshot.metrics_prefix, "");
+  EXPECT_EQ(parsed.snapshot.backend, env::Backend::kUnset);
+  EXPECT_EQ(parsed.snapshot.bench_scale, 0u);
+}
+
+TEST(Env, ParsesEveryVariable) {
+  env::ParseResult parsed = ParseEnv({{"CCL_BACKEND", "cxl"},
+                                      {"CCL_CXL_PAGE", "1024"},
+                                      {"CCL_PMCHECK", "1"},
+                                      {"CCL_LOCKCHECK", "1"},
+                                      {"CCL_SIMD", "sse2"},
+                                      {"CCL_TRACE", "/tmp/t"},
+                                      {"CCL_METRICS", "/tmp/m"},
+                                      {"CCL_BENCH_SCALE", "60000"}});
+  ASSERT_EQ(parsed.error, "");
+  const env::Snapshot& s = parsed.snapshot;
+  EXPECT_EQ(s.backend, env::Backend::kCxl);
+  EXPECT_EQ(s.cxl_page, 1024u);
+  EXPECT_TRUE(s.pmcheck);
+  EXPECT_TRUE(s.lockcheck);
+  EXPECT_EQ(s.simd_level, 1);
+  EXPECT_EQ(s.trace_prefix, "/tmp/t");
+  EXPECT_EQ(s.metrics_prefix, "/tmp/m");
+  EXPECT_EQ(s.bench_scale, 60000u);
+
+  EXPECT_EQ(ParseEnv({{"CCL_BACKEND", "adr"}}).snapshot.backend, env::Backend::kAdr);
+  EXPECT_EQ(ParseEnv({{"CCL_BACKEND", "adr_optane"}}).snapshot.backend, env::Backend::kAdr);
+  EXPECT_EQ(ParseEnv({{"CCL_BACKEND", "eadr"}}).snapshot.backend, env::Backend::kEadr);
+  EXPECT_EQ(ParseEnv({{"CCL_BACKEND", "cxlmem"}}).snapshot.backend, env::Backend::kCxl);
+  EXPECT_FALSE(ParseEnv({{"CCL_PMCHECK", "0"}}).snapshot.pmcheck);
+  EXPECT_EQ(ParseEnv({{"CCL_CXL_PAGE", "256"}}).snapshot.cxl_page, 256u);
+  EXPECT_EQ(ParseEnv({{"CCL_BENCH_SCALE", "18446744073709551615"}}).snapshot.bench_scale,
+            UINT64_MAX);
+}
+
+// A malformed value is a hard error that names the variable and the values
+// it accepts; none is silently replaced by a default.
+TEST(Env, MalformedValueIsAnErrorNamingVariableAndAcceptedValues) {
+  struct Case {
+    const char* name;
+    const char* value;
+    const char* accepted;  // a fragment of the accepted-values text
+  };
+  const Case cases[] = {
+      {"CCL_BACKEND", "exadr", "eadr"},
+      {"CCL_CXL_PAGE", "1000", "power of two"},
+      {"CCL_CXL_PAGE", "8192", "power of two"},
+      {"CCL_CXL_PAGE", "128", "power of two"},
+      {"CCL_PMCHECK", "yes", "0 | 1"},
+      {"CCL_LOCKCHECK", "2", "0 | 1"},
+      {"CCL_SIMD", "banana", "avx2"},
+      {"CCL_BENCH_SCALE", "-1", "positive"},
+      {"CCL_BENCH_SCALE", "0", "positive"},
+      {"CCL_BENCH_SCALE", "12k", "positive"},
+      {"CCL_BENCH_SCALE", "18446744073709551616", "positive"},
+  };
+  for (const Case& c : cases) {
+    env::ParseResult parsed = ParseEnv({{c.name, c.value}});
+    EXPECT_NE(parsed.error.find(c.name), std::string::npos) << c.name << "=" << c.value;
+    EXPECT_NE(parsed.error.find(c.value), std::string::npos) << parsed.error;
+    EXPECT_NE(parsed.error.find(c.accepted), std::string::npos) << parsed.error;
+  }
 }
 
 }  // namespace

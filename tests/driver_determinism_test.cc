@@ -23,6 +23,15 @@ RunConfig SmallConfig() {
   return config;
 }
 
+// SmallConfig pinned to ADR Optane. The cclbtree runs below are too small to
+// evict anything from CXL's 64-page combining buffers, so on that backend
+// they would compare runs with no media writes (or GC bytes) at all.
+RunConfig AdrConfig() {
+  RunConfig config = SmallConfig();
+  config.backend = pmsim::MediaBackend::kAdrOptane;
+  return config;
+}
+
 void ExpectIdenticalVirtualMetrics(const RunResult& a, const RunResult& b) {
   // Bit-identical, not approximately equal: every virtual counter and every
   // derived virtual time must match exactly.
@@ -49,7 +58,7 @@ void ExpectIdenticalVirtualMetrics(const RunResult& a, const RunResult& b) {
 TEST(DriverDeterminismTest, RepeatedRunsAreBitIdentical) {
   IndexConfig index_config;
   index_config.tree.background_gc = false;
-  RunConfig config = SmallConfig();
+  RunConfig config = AdrConfig();
   RunResult first = RunIndexWorkload("cclbtree", config, index_config);
   RunResult second = RunIndexWorkload("cclbtree", config, index_config);
   ASSERT_GT(first.stats.media_write_bytes, 0u);
@@ -83,7 +92,7 @@ TEST(DriverDeterminismTest, BackgroundGcRunsAreBitIdentical) {
   // Low trigger threshold so several GC rounds fire inside this small run;
   // the assertions below prove GC actually ran.
   index_config.tree.th_log_pct = 10;
-  RunConfig config = SmallConfig();
+  RunConfig config = AdrConfig();
   RunResult first = RunIndexWorkload("cclbtree", config, index_config);
   RunResult second = RunIndexWorkload("cclbtree", config, index_config);
   ASSERT_GT(first.stats.media_write_bytes, 0u);
@@ -115,7 +124,7 @@ TEST(DriverDeterminismTest, DriverGcEpochRunsAreBitIdentical) {
   IndexConfig index_config;
   index_config.tree.background_gc = false;  // GC paced by the driver instead
   index_config.tree.th_log_pct = 10;
-  RunConfig config = SmallConfig();
+  RunConfig config = AdrConfig();
   config.gc_epoch_ops = 512;
   RunResult first = RunIndexWorkload("cclbtree", config, index_config);
   RunResult second = RunIndexWorkload("cclbtree", config, index_config);

@@ -424,17 +424,21 @@ TEST(LockCheck, CleanRunOnCclbtreeFig10Micro) {
   config.warm_keys = 15'000;
   config.ops = 15'000;
   config.op = OpType::kUpdate;
-  config.lockcheck = true;
-  RunResult result = RunIndexWorkload("cclbtree", config, {}, 1ULL << 30);
-  ASSERT_TRUE(result.lockcheck.enabled);
-  EXPECT_EQ(result.lockcheck.total(), 0u)
+  kvindex::RuntimeOptions options;
+  options.device.pool_bytes = 1ULL << 30;
+  options.device.lockcheck = true;
+  kvindex::Runtime runtime(options);
+  auto index = MakeIndex("cclbtree", runtime, {});
+  RunWorkload(runtime, *index, config);
+  pmsim::LockCheckReport report = runtime.device().lockcheck()->Snapshot();
+  ASSERT_TRUE(report.enabled);
+  EXPECT_EQ(report.total(), 0u)
       << "first diagnostic: "
-      << (result.lockcheck.diagnostics.empty() ? "(none materialized)"
-                                               : result.lockcheck.diagnostics[0].detail);
-  EXPECT_EQ(result.lockcheck.total_info(), 0u);
-  EXPECT_EQ(result.lockcheck.diagnostics_truncated, 0u);
-  EXPECT_GT(result.lockcheck.locks_tracked, 0u);
-  EXPECT_GT(result.lockcheck.lines_tracked, 0u);
+      << (report.diagnostics.empty() ? "(none materialized)" : report.diagnostics[0].detail);
+  EXPECT_EQ(report.total_info(), 0u);
+  EXPECT_EQ(report.diagnostics_truncated, 0u);
+  EXPECT_GT(report.locks_tracked, 0u);
+  EXPECT_GT(report.lines_tracked, 0u);
 }
 
 }  // namespace

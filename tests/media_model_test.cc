@@ -1,17 +1,19 @@
 // Tests for the pluggable persistence-domain backends (DESIGN.md §14):
-// backend resolution (explicit config > legacy eadr flag > CCL_BACKEND env >
-// ADR default), the per-backend crash-window semantics (eADR loses nothing
+// backend resolution (explicit config > CCL_BACKEND env > ADR default), the per-backend crash-window semantics (eADR loses nothing
 // acked; a volatile CXL buffer loses exactly its staged lines), the CXL
 // non-volatile path's equivalence with the ADR commit loop, and the
 // backend-appropriate pmcheck severities on CXL, and the exactness of the
 // page-map crash restore on every backend.
 #include <cstdlib>
 #include <cstring>
+#include <map>
 #include <set>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "src/common/env.h"
 #include "src/common/rng.h"
 #include "src/kvindex/runtime.h"
 #include "src/pmsim/device.h"
@@ -56,11 +58,20 @@ void StoreFlushFence(PmDevice& device, ThreadContext& ctx, uintptr_t offset, uin
   device.Fence(ctx);
 }
 
+// Parses `vars` as the whole environment (src/common/env.h).
+env::Snapshot EnvOf(std::map<std::string, std::string> vars) {
+  env::ParseResult parsed = env::Parse([&vars](const char* name) -> const char* {
+    auto it = vars.find(name);
+    return it == vars.end() ? nullptr : it->second.c_str();
+  });
+  EXPECT_EQ(parsed.error, "");
+  return parsed.snapshot;
+}
+
 TEST(ResolveBackend, DefaultIsAdrOptane) {
   DeviceConfig config = SmallConfig();
-  ResolveMediaBackend(config);
+  ResolveMediaBackend(config, EnvOf({}));
   EXPECT_EQ(config.backend, MediaBackend::kAdrOptane);
-  EXPECT_FALSE(config.eadr);
   PmDevice device{SmallConfig()};
   EXPECT_EQ(device.config().backend, MediaBackend::kAdrOptane);
   EXPECT_STREQ(device.media().name(), "adr");
@@ -68,41 +79,26 @@ TEST(ResolveBackend, DefaultIsAdrOptane) {
   EXPECT_TRUE(device.media().durable_at_commit());
 }
 
-TEST(ResolveBackend, LegacyEadrFlagMapsToEadrBackend) {
-  DeviceConfig config = SmallConfig();
-  config.eadr = true;
-  ResolveMediaBackend(config);
-  EXPECT_EQ(config.backend, MediaBackend::kEadr);
-  EXPECT_TRUE(config.eadr);  // mirror stays consistent
-}
-
 TEST(ResolveBackend, EnvSelectorAppliesWhenAuto) {
-  setenv("CCL_BACKEND", "eadr", 1);
   DeviceConfig config = SmallConfig();
-  ResolveMediaBackend(config);
+  ResolveMediaBackend(config, EnvOf({{"CCL_BACKEND", "eadr"}}));
   EXPECT_EQ(config.backend, MediaBackend::kEadr);
-  EXPECT_TRUE(config.eadr);
 
-  setenv("CCL_BACKEND", "cxl", 1);
   DeviceConfig cxl = SmallConfig();
-  ResolveMediaBackend(cxl);
+  ResolveMediaBackend(cxl, EnvOf({{"CCL_BACKEND", "cxl"}}));
   EXPECT_EQ(cxl.backend, MediaBackend::kCxlMem);
   EXPECT_EQ(cxl.xpline_bytes, 4096u);  // CCL_CXL_PAGE default
   EXPECT_GE(cxl.xpbuffer_bytes, 64u * 4096u);
 
-  setenv("CCL_CXL_PAGE", "1024", 1);
   DeviceConfig page = SmallConfig();
-  ResolveMediaBackend(page);
+  ResolveMediaBackend(page, EnvOf({{"CCL_BACKEND", "cxl"}, {"CCL_CXL_PAGE", "1024"}}));
   EXPECT_EQ(page.xpline_bytes, 1024u);
 
   // An explicit backend in the config wins over the environment.
   DeviceConfig pinned = SmallConfig();
   pinned.backend = MediaBackend::kAdrOptane;
-  ResolveMediaBackend(pinned);
+  ResolveMediaBackend(pinned, EnvOf({{"CCL_BACKEND", "eadr"}}));
   EXPECT_EQ(pinned.backend, MediaBackend::kAdrOptane);
-
-  unsetenv("CCL_CXL_PAGE");
-  unsetenv("CCL_BACKEND");
 }
 
 TEST(RuntimeBackend, AccessorReportsResolvedBackend) {

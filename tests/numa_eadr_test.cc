@@ -53,7 +53,7 @@ TEST(Numa, CclRemoteFractionLowerThanSocketObliviousBaseline) {
 TEST(Eadr, TreeWorksWithoutFences) {
   kvindex::RuntimeOptions runtime_options;
   runtime_options.device.pool_bytes = 256 << 20;
-  runtime_options.device.eadr = true;
+  runtime_options.device.backend = pmsim::MediaBackend::kEadr;
   kvindex::Runtime runtime(runtime_options);
   core::TreeOptions options;
   options.background_gc = false;
@@ -73,7 +73,7 @@ TEST(Eadr, TreeWorksWithoutFences) {
 TEST(Eadr, EadrStoresPersistAcrossCrashWithoutFences) {
   kvindex::RuntimeOptions runtime_options;
   runtime_options.device.pool_bytes = 256 << 20;
-  runtime_options.device.eadr = true;
+  runtime_options.device.backend = pmsim::MediaBackend::kEadr;
   runtime_options.device.crash_tracking = true;
   kvindex::Runtime runtime(runtime_options);
   core::TreeOptions options;
@@ -98,14 +98,14 @@ TEST(Eadr, ExplicitFlushBeatsEadrOnXbiForCcl) {
   // The paper's §5.5 observation: removing explicit flushes (eADR) makes
   // XBI worse for a locality-aware design because implicit evictions
   // scramble the batched leaf writes.
-  auto run = [](bool eadr) {
+  auto run = [](pmsim::MediaBackend backend) {
     RunConfig config;
     config.threads = 16;
     config.warm_keys = 30'000;
     config.ops = 30'000;
     kvindex::RuntimeOptions runtime_options;
     runtime_options.device.pool_bytes = 512 << 20;
-    runtime_options.device.eadr = eadr;
+    runtime_options.device.backend = backend;
     runtime_options.device.crash_tracking = false;
     runtime_options.device.eadr_cache_lines = 4096;
     kvindex::Runtime runtime(runtime_options);
@@ -114,7 +114,7 @@ TEST(Eadr, ExplicitFlushBeatsEadrOnXbiForCcl) {
     auto index = MakeIndex("cclbtree", runtime, quiet);
     return RunWorkload(runtime, *index, config).xbi_amplification;
   };
-  EXPECT_GT(run(true), run(false));
+  EXPECT_GT(run(pmsim::MediaBackend::kEadr), run(pmsim::MediaBackend::kAdrOptane));
 }
 
 TEST(Gc, MultiThreadedGcRoundPreservesData) {

@@ -454,14 +454,20 @@ TEST(PmCheck, CleanRunOnCclbtreeFig10Micro) {
   config.warm_keys = 15'000;
   config.ops = 15'000;
   config.op = OpType::kUpdate;
-  config.pmcheck = true;
-  RunResult result = RunIndexWorkload("cclbtree", config, {}, 1ULL << 30);
-  ASSERT_TRUE(result.pmcheck.enabled);
-  EXPECT_EQ(result.pmcheck.total(), 0u) << "first diagnostic: "
-      << (result.pmcheck.diagnostics.empty()
-              ? "(none materialized)"
-              : result.pmcheck.diagnostics[0].detail);
-  EXPECT_GT(result.pmcheck.fence_epochs, 0u);
+  kvindex::RuntimeOptions options;
+  options.device.pool_bytes = 1ULL << 30;
+  options.device.pmcheck = true;
+  kvindex::Runtime runtime(options);
+  auto index = MakeIndex("cclbtree", runtime, {});
+  RunWorkload(runtime, *index, config);
+  // Pool close from the checker's point of view: the unflushed-at-close scan.
+  runtime.device().DrainBuffers();
+  pmsim::PmCheckReport report = runtime.device().pmcheck()->Snapshot();
+  ASSERT_TRUE(report.enabled);
+  EXPECT_EQ(report.total(), 0u)
+      << "first diagnostic: "
+      << (report.diagnostics.empty() ? "(none materialized)" : report.diagnostics[0].detail);
+  EXPECT_GT(report.fence_epochs, 0u);
 }
 
 }  // namespace

@@ -143,6 +143,7 @@ TEST(StatsShardTest, ResetZeroesBaseAndLiveShards) {
 // line, and DrainBuffers() empties every buffer.
 TEST(PmDeviceHotpathTest, MultithreadedFlushStormConservesMediaAccounting) {
   DeviceConfig config;
+  config.backend = MediaBackend::kAdrOptane;  // asserts 256 B XPLine counts
   config.pool_bytes = 64 << 20;
   config.num_sockets = 1;
   config.dimms_per_socket = 4;
@@ -192,6 +193,7 @@ TEST(PmDeviceHotpathTest, MultithreadedFlushStormConservesMediaAccounting) {
 // are directly observable via media accounting after a drain.
 TEST(PmDeviceHotpathTest, PendingSetDedupCommitsEachLineOnce) {
   DeviceConfig config;
+  config.backend = MediaBackend::kAdrOptane;  // asserts 256 B XPLine counts
   config.pool_bytes = 16 << 20;
   config.num_sockets = 1;
   config.dimms_per_socket = 1;
@@ -219,6 +221,7 @@ TEST(PmDeviceHotpathTest, PendingSetDedupCommitsEachLineOnce) {
 // fence groups commits twice.
 TEST(PmDeviceHotpathTest, PendingSetResetsAcrossFences) {
   DeviceConfig config;
+  config.backend = MediaBackend::kAdrOptane;  // asserts 256 B XPLine counts
   config.pool_bytes = 16 << 20;
   config.num_sockets = 1;
   config.dimms_per_socket = 1;

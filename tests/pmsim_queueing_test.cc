@@ -21,6 +21,15 @@ DeviceConfig OneDimmConfig() {
   return config;
 }
 
+// OneDimmConfig pinned to ADR Optane, for the cases that assert the Optane
+// queueing figures (explicit flushes reaching 256 B XPLine media servers).
+// Every other case runs under whatever backend CCL_BACKEND names.
+DeviceConfig AdrOneDimmConfig() {
+  DeviceConfig config = OneDimmConfig();
+  config.backend = MediaBackend::kAdrOptane;
+  return config;
+}
+
 // Runs `workers` interleaved logical writers doing `per_worker` random
 // single-line flushes each; returns modeled elapsed ns.
 uint64_t RunRandomWriters(PmDevice& device, int workers, uint64_t per_worker) {
@@ -52,7 +61,7 @@ uint64_t RunRandomWriters(PmDevice& device, int workers, uint64_t per_worker) {
 TEST(QueueingModel, RandomWritesSaturateAtMediaBandwidth) {
   // With many writers, elapsed time must approach total media service time
   // (each random flush = one eviction = write + RMW service).
-  PmDevice device(OneDimmConfig());
+  PmDevice device(AdrOneDimmConfig());
   const int kWorkers = 16;
   const uint64_t kPerWorker = 2000;
   uint64_t elapsed = RunRandomWriters(device, kWorkers, kPerWorker);
@@ -64,8 +73,8 @@ TEST(QueueingModel, RandomWritesSaturateAtMediaBandwidth) {
 }
 
 TEST(QueueingModel, MoreDimmsMeanMoreBandwidth) {
-  DeviceConfig one = OneDimmConfig();
-  DeviceConfig four = OneDimmConfig();
+  DeviceConfig one = AdrOneDimmConfig();
+  DeviceConfig four = AdrOneDimmConfig();
   four.dimms_per_socket = 4;
   PmDevice device_one(one);
   PmDevice device_four(four);
@@ -77,7 +86,7 @@ TEST(QueueingModel, MoreDimmsMeanMoreBandwidth) {
 }
 
 TEST(QueueingModel, SingleWriterIsLatencyBoundNotBandwidthBound) {
-  PmDevice device(OneDimmConfig());
+  PmDevice device(AdrOneDimmConfig());
   uint64_t elapsed = RunRandomWriters(device, 1, 2000);
   const auto& cost = device.config().cost;
   uint64_t cpu_only = 2000 * (cost.cacheline_flush_ns + cost.fence_ns);
@@ -92,7 +101,7 @@ TEST(QueueingModel, SingleWriterIsLatencyBoundNotBandwidthBound) {
 TEST(QueueingModel, ReadsQueueBehindWrites) {
   // A read issued while the DIMM has a large write backlog must observe
   // queueing delay, not just base latency.
-  PmDevice device(OneDimmConfig());
+  PmDevice device(AdrOneDimmConfig());
   ThreadContext ctx(device, 0, 0);
   Rng rng(9);
   for (int i = 0; i < 200; i++) {
@@ -109,6 +118,7 @@ TEST(QueueingModel, ReadsQueueBehindWrites) {
 TEST(QueueingModel, RemoteWritesCostMoreServiceTime) {
   DeviceConfig config;
   config.pool_bytes = 256 << 20;
+  config.backend = MediaBackend::kAdrOptane;
   config.num_sockets = 2;
   config.dimms_per_socket = 1;
   auto run = [&](int socket) {
@@ -132,7 +142,7 @@ TEST(QueueingModel, ElapsedLinearInXplineCount) {
   // The Figure-2(b) property as an assertion: elapsed time grows ~linearly
   // with distinct XPLines per write under saturation.
   auto run = [](int xplines_per_write) {
-    PmDevice device(OneDimmConfig());
+    PmDevice device(AdrOneDimmConfig());
     std::vector<std::unique_ptr<ThreadContext>> ctxs;
     std::vector<Rng> rngs;
     const int kWorkers = 12;

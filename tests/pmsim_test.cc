@@ -19,6 +19,15 @@ DeviceConfig SmallConfig() {
   return config;
 }
 
+// SmallConfig pinned to ADR Optane, for the cases that assert ADR-model
+// figures (256 B XPLines, unfenced lines lost at a crash, WPQ queueing).
+// Every other case runs under whatever backend CCL_BACKEND names.
+DeviceConfig AdrConfig() {
+  DeviceConfig config = SmallConfig();
+  config.backend = MediaBackend::kAdrOptane;
+  return config;
+}
+
 TEST(XpBuffer, MergesLinesOfSameXpline) {
   XpBuffer buffer(4);
   // Four lines of one XPLine: one insert, three hits, no eviction.
@@ -100,7 +109,7 @@ TEST(Device, CliAccountingCountsLineFlushes) {
 }
 
 TEST(Device, XbiRequiresEvictionOrDrain) {
-  PmDevice device(SmallConfig());
+  PmDevice device(AdrConfig());
   ThreadContext ctx(device, 0);
   std::byte* addr = device.base() + 4096;
   device.FlushLine(ctx, addr);
@@ -149,7 +158,7 @@ TEST(Device, CrashDropsUnflushedStores) {
 }
 
 TEST(Device, CrashDropsFlushedButUnfencedStores) {
-  PmDevice device(SmallConfig());
+  PmDevice device(AdrConfig());
   ThreadContext ctx(device, 0);
   auto* word = reinterpret_cast<uint64_t*>(device.base() + 8192);
   *word = 0x1111;
@@ -172,7 +181,7 @@ TEST(Device, FencedStoresSurviveCrash) {
 }
 
 TEST(Device, CrashTornAppliesSubsetOfPendingLines) {
-  PmDevice device(SmallConfig());
+  PmDevice device(AdrConfig());
   ThreadContext ctx(device, 0);
   // Prepare 64 pending lines, then crash torn: roughly half should persist.
   for (int i = 0; i < 64; i++) {
@@ -219,7 +228,7 @@ TEST(Device, WpqBackpressureStallsWriters) {
   // Flood one DIMM with random-XPLine flushes: the virtual clock must grow
   // roughly linearly with the number of media writes (the Figure 2(b)
   // regime) rather than with the flush CPU cost alone.
-  DeviceConfig config = SmallConfig();
+  DeviceConfig config = AdrConfig();
   config.num_sockets = 1;
   config.dimms_per_socket = 1;
   PmDevice device(config);
@@ -254,7 +263,7 @@ TEST(Device, TagAttributionFollowsRegisteredRanges) {
 
 TEST(Device, EadrModePersistsWithoutFence) {
   DeviceConfig config = SmallConfig();
-  config.eadr = true;
+  config.backend = MediaBackend::kEadr;
   PmDevice device(config);
   ThreadContext ctx(device, 0);
   auto* word = reinterpret_cast<uint64_t*>(device.base() + 8192);
@@ -268,12 +277,12 @@ TEST(Device, EadrRandomizedEvictionRaisesXbiOfSequentialStream) {
   // In eADR mode implicit cache evictions randomize the order in which lines
   // reach the XPBuffer, breaking write combining for sequential streams
   // (paper §5.5). XBI(eADR) should exceed XBI(ADR) for the same stream.
-  auto run = [](bool eadr) {
+  auto run = [](MediaBackend backend) {
     DeviceConfig config;
     config.pool_bytes = 64 << 20;
     config.num_sockets = 1;
     config.dimms_per_socket = 1;
-    config.eadr = eadr;
+    config.backend = backend;
     config.eadr_cache_lines = 1024;
     PmDevice device(config);
     ThreadContext ctx(device, 0);
@@ -284,7 +293,7 @@ TEST(Device, EadrRandomizedEvictionRaisesXbiOfSequentialStream) {
     device.DrainBuffers();
     return device.stats().Snapshot().media_write_bytes;
   };
-  EXPECT_GT(run(true), run(false));
+  EXPECT_GT(run(MediaBackend::kEadr), run(MediaBackend::kAdrOptane));
 }
 
 TEST(CrashInjector, CountOnlyProbeCountsFencesWithoutFiring) {
@@ -319,7 +328,7 @@ TEST(CrashInjector, DetachedInjectorIsInert) {
 }
 
 TEST(CrashInjector, FiresAtTargetBeforeCommittingPendingLines) {
-  PmDevice device(SmallConfig());
+  PmDevice device(AdrConfig());
   ThreadContext ctx(device, 0);
   auto* word = reinterpret_cast<uint64_t*>(device.base() + 8192);
   *word = 0x1111;
@@ -365,7 +374,7 @@ TEST(CrashInjector, FiresAtMostOnce) {
 }
 
 TEST(CrashInjector, CrashCountersAccountDroppedAndTornLines) {
-  PmDevice device(SmallConfig());
+  PmDevice device(AdrConfig());
   ThreadContext ctx(device, 0);
   for (int i = 0; i < 16; i++) {
     auto* word = reinterpret_cast<uint64_t*>(device.base() + 8192 + i * 64);

@@ -8,10 +8,13 @@
 // occupancy level 0..14, odd slot counts, and unsorted key arrays.
 #include <algorithm>
 #include <cstring>
+#include <string>
+#include <string_view>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "src/common/env.h"
 #include "src/common/fingerprint.h"
 #include "src/common/rng.h"
 #include "src/common/simd.h"
@@ -48,15 +51,25 @@ uint32_t RandomMask(Rng& rng, int popcount) {
   return mask;
 }
 
+// CCL_SIMD through the environment parser (src/common/env.h): the level
+// value DetectLevel caps detection at, -1 for auto-detection.
 TEST(SimdDispatch, ParseLevelOverride) {
-  EXPECT_EQ(simd::ParseLevelOverride(nullptr), -1);
-  EXPECT_EQ(simd::ParseLevelOverride("off"), 0);
-  EXPECT_EQ(simd::ParseLevelOverride("scalar"), 0);
-  EXPECT_EQ(simd::ParseLevelOverride("0"), 0);
-  EXPECT_EQ(simd::ParseLevelOverride("sse2"), 1);
-  EXPECT_EQ(simd::ParseLevelOverride("avx2"), 2);
-  EXPECT_EQ(simd::ParseLevelOverride("banana"), -1);
-  EXPECT_EQ(simd::ParseLevelOverride(""), -1);
+  auto parse = [](const char* value) {
+    return env::Parse([value](const char* name) {
+      return std::string_view(name) == "CCL_SIMD" ? value : nullptr;
+    });
+  };
+  EXPECT_EQ(parse(nullptr).snapshot.simd_level, -1);
+  EXPECT_EQ(parse("").snapshot.simd_level, -1);
+  EXPECT_EQ(parse("off").snapshot.simd_level, static_cast<int>(Level::kScalar));
+  EXPECT_EQ(parse("scalar").snapshot.simd_level, static_cast<int>(Level::kScalar));
+  EXPECT_EQ(parse("0").snapshot.simd_level, static_cast<int>(Level::kScalar));
+  EXPECT_EQ(parse("sse2").snapshot.simd_level, static_cast<int>(Level::kSse2));
+  EXPECT_EQ(parse("avx2").snapshot.simd_level, static_cast<int>(Level::kAvx2));
+  // An unknown level is an error, not a silent fall back to detection.
+  env::ParseResult bad = parse("banana");
+  EXPECT_NE(bad.error.find("CCL_SIMD"), std::string::npos) << bad.error;
+  EXPECT_NE(bad.error.find("avx2"), std::string::npos) << bad.error;
 }
 
 TEST(SimdDispatch, ForceLevelClampsToHardware) {

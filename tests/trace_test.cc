@@ -125,6 +125,7 @@ TEST_F(TraceTest, ScopeNestingRestoresComponent) {
 // eviction path and the end-of-run drain.
 TEST_F(TraceTest, ComponentAttributionSumsToMediaWriteBytes) {
   pmsim::DeviceConfig config;
+  config.backend = pmsim::MediaBackend::kAdrOptane;  // flushes reach 256 B XPLines
   config.pool_bytes = 64 << 20;
   config.num_sockets = 1;
   config.dimms_per_socket = 2;
@@ -182,6 +183,7 @@ TEST_F(TraceTest, ComponentAttributionSumsToMediaWriteBytes) {
 
 TEST_F(TraceTest, ScopeTimingChargesExclusiveVirtualTime) {
   pmsim::DeviceConfig config;
+  config.backend = pmsim::MediaBackend::kAdrOptane;  // flush+fence cost virtual time
   config.pool_bytes = 16 << 20;
   config.num_sockets = 1;
   config.dimms_per_socket = 1;
@@ -209,6 +211,80 @@ TEST_F(TraceTest, ScopeTimingChargesExclusiveVirtualTime) {
   // means the inner GC time is not double-charged to WAL.
   EXPECT_GT(wal_ns, 0u);
   EXPECT_GT(gc_ns, 0u);
+}
+
+// Scope time is measured against the clock of the worker it belongs to. The
+// driver and the service switch one OS thread between logical workers whose
+// virtual clocks are far apart; a switch must neither charge the gap between
+// the two clocks nor lose the outgoing worker's pending time.
+TEST_F(TraceTest, ScopeTimingFollowsWorkerSwitches) {
+  pmsim::DeviceConfig config;
+  config.pool_bytes = 16 << 20;
+  config.num_sockets = 1;
+  config.dimms_per_socket = 1;
+  config.crash_tracking = false;
+  pmsim::PmDevice device(config);
+  pmsim::ThreadContext a(device, 0, 0);
+  pmsim::ThreadContext b(device, 0, 1);
+  a.ResetClock(1'000'000);
+  b.ResetClock(5'000'000'000);
+  trace::SetScopeTiming(true);
+  pmsim::ThreadContext::SetCurrent(&a);
+  trace::FlushScopeTime();  // sync the mark to a's clock
+  auto charged = [] {
+    const uint64_t* table = trace::ThreadComponentNs();
+    uint64_t sum = 0;
+    for (int c = 0; c < trace::kNumComponents; c++) {
+      sum += table[c];
+    }
+    return sum;
+  };
+  const uint64_t charged_before = charged();
+  const uint64_t a_before = a.now_ns();
+  const uint64_t b_before = b.now_ns();
+  for (uint64_t round = 0; round < 4; round++) {
+    for (pmsim::ThreadContext* ctx : {&a, &b}) {
+      pmsim::ThreadContext::SetCurrent(ctx);
+      trace::TraceScope scope(round % 2 == 0 ? trace::Component::kWal
+                                             : trace::Component::kLeaf);
+      ctx->AdvanceCpu(100 + round);
+    }
+    // Unscoped time left pending on b when the thread switches back to a.
+    b.AdvanceCpu(7);
+  }
+  pmsim::ThreadContext::SetCurrent(&a);
+  trace::FlushScopeTime();
+  uint64_t own_advance = (a.now_ns() - a_before) + (b.now_ns() - b_before);
+  EXPECT_EQ(charged() - charged_before, own_advance);
+}
+
+// A clock jump is not work: a shard that idles until its next request
+// moves its clock forward (ResetClock), and that gap must not be charged to
+// whatever component is current.
+TEST_F(TraceTest, ScopeTimingSkipsClockJumps) {
+  pmsim::DeviceConfig config;
+  config.pool_bytes = 16 << 20;
+  config.num_sockets = 1;
+  config.dimms_per_socket = 1;
+  config.crash_tracking = false;
+  pmsim::PmDevice device(config);
+  pmsim::ThreadContext ctx(device, 0, 0);
+  trace::SetScopeTiming(true);
+  trace::FlushScopeTime();
+  const uint64_t* table = trace::ThreadComponentNs();
+  const auto other = static_cast<size_t>(trace::Component::kOther);
+  const auto wal = static_cast<size_t>(trace::Component::kWal);
+  const uint64_t other_before = table[other];
+  const uint64_t wal_before = table[wal];
+  ctx.AdvanceCpu(5);  // pending work, charged before the jump
+  ctx.ResetClock(ctx.now_ns() + 1'000'000);
+  {
+    trace::TraceScope scope(trace::Component::kWal);
+    ctx.AdvanceCpu(40);
+  }
+  trace::FlushScopeTime();
+  EXPECT_EQ(table[other] - other_before, 5u);
+  EXPECT_EQ(table[wal] - wal_before, 40u);
 }
 
 TEST_F(TraceTest, ChromeTraceJsonIsStructurallyBalanced) {

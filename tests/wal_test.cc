@@ -12,9 +12,16 @@ namespace cclbt::core {
 namespace {
 
 struct WalFixture : public ::testing::Test {
-  void SetUp() override {
+  void SetUp() override { Open(pmsim::MediaBackend::kAuto); }
+
+  // (Re)creates the device stack on `backend`; kAuto follows CCL_BACKEND.
+  void Open(pmsim::MediaBackend backend) {
+    arena.reset();
+    pool.reset();
+    ctx.reset();
     pmsim::DeviceConfig config;
     config.pool_bytes = 256 << 20;
+    config.backend = backend;
     device = std::make_unique<pmsim::PmDevice>(config);
     ctx = std::make_unique<pmsim::ThreadContext>(*device, 0, 0);
     pool = pmem::PmPool::Create(*device);
@@ -154,7 +161,8 @@ TEST_F(WalFixture, EntriesSurviveCrash) {
 
 TEST_F(WalFixture, SequentialAppendsHaveLowXbi) {
   // ~10.7 24 B entries share an XPLine (§3.5): media bytes per entry should
-  // be close to 24, far below 256.
+  // be close to 24, far below 256. The figures are ADR's 256 B media unit.
+  Open(pmsim::MediaBackend::kAdrOptane);
   ThreadWal wal(*arena, 0);
   auto before = device->stats().Snapshot();
   const uint64_t kEntries = 50'000;

@@ -7,7 +7,7 @@ backend would live), and nothing inside a measured region may consult wall
 clocks or nondeterministic RNGs — virtual-metric tails are diffed bit-for-bit
 by the determinism CI gate (DESIGN.md s10).
 
-Rules (R1-R7; see RULES below for the authoritative patterns):
+Rules (R1-R8; see RULES below for the authoritative patterns):
   R1  raw persistence intrinsics (_mm_clwb/_mm_clflush*/_mm_sfence/...,
       __builtin_ia32_*, inline asm) outside src/pmsim/
   R2  wall-clock (std::chrono clocks, gettimeofday, sleep_for/sleep_until)
@@ -33,6 +33,8 @@ Rules (R1-R7; see RULES below for the authoritative patterns):
       `lint_pm_api: allow` (their serialization must stay invisible to the
       observer). One-shot relaxed exchange flags (crash_injector) do not
       match: the patterns require acquire ordering inside a spin loop.
+  R8  getenv outside src/common/env.cc, the one reader of the CCL_*
+      environment (modules read env::Get(); src/common/env.h)
 
 Usage:
   tools/lint_pm_api.py [--root DIR]   # lint the tree, exit 1 on violations
@@ -58,13 +60,13 @@ CXX_EXTS = (".cc", ".h")
 SLEEP_RE = re.compile(r"sleep_for|sleep_until|\busleep\s*\(|\bnanosleep\s*\(")
 
 # Wall-clock reads; allowed in tests (deadlines) and in the two benches that
-# measure real elapsed time by design (hotpath A/B, recovery wall time).
+# measure real elapsed time by design (hotpath, recovery wall time).
 WALLCLOCK_RE = re.compile(
     r"std::chrono::(steady_clock|system_clock|high_resolution_clock)"
     r"|\bgettimeofday\s*\(|\bclock_gettime\s*\("
 )
 WALLCLOCK_FILE_ALLOWLIST = {
-    "bench/bench_pmsim_hotpath.cc",   # wall-clock A/B parity is the product
+    "bench/bench_pmsim_hotpath.cc",   # wall-clock throughput is the product
     "bench/bench_fig17_recovery.cc",  # recovery wall time is the figure
 }
 
@@ -103,6 +105,10 @@ RAW_LOCK_RE = re.compile(
 
 # The one sanctioned home for lock primitives (DESIGN.md s16).
 LOCK_HOME = "src/common/lock.h"
+
+# Environment reads and their one sanctioned home.
+GETENV_RE = re.compile(r"\b(secure_)?getenv\s*\(")
+ENV_HOME = "src/common/env.cc"
 
 # (rule, regex, predicate(relpath) -> bool applies, message)
 RULES = [
@@ -164,6 +170,8 @@ RULES = [
         "sync:: wrappers so thread-safety analysis and lockcheck see every "
         "acquire)",
     ),
+    ("R8", GETENV_RE, lambda p: p != ENV_HOME,
+     "getenv outside src/common/env.cc (parse the variable into env::Snapshot)"),
 ]
 
 COMMENT_RE = re.compile(r"^\s*(//|\*)")
@@ -268,6 +276,9 @@ SELF_TEST_CASES = [
         "#include <mutex>\nusing CheckerMutex = std::mutex;  // lint_pm_api: allow\n",
         None,
     ),
+    # A module reading its own knob; then env.cc, where R8 must NOT fire.
+    ("bench/bad_getenv.h", 'const char* s = std::getenv("CCL_BENCH_SCALE");\n', "R8"),
+    ("src/common/env.cc", "const char* f(const char* n) { return std::getenv(n); }\n", None),
 ]
 
 
