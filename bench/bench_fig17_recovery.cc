@@ -56,9 +56,9 @@ void RegisterAll() {
           // no-op unless the gate is on (e.g. CCL_METRICS set).
           metrics::RecordOp(
               metrics::OpKind::kRecover, tree->last_recovery_modeled_ns(),
-              static_cast<uint64_t>(
-                  std::chrono::duration_cast<std::chrono::nanoseconds>(wall1 - wall0)
-                      .count()));
+              {static_cast<uint64_t>(
+                   std::chrono::duration_cast<std::chrono::nanoseconds>(wall1 - wall0).count()),
+               1});
           // Modeled recovery time: serial rebuild walk + slowest replay
           // worker, floored by the outstanding media work.
           state.counters["recovery_ms"] =

@@ -50,13 +50,14 @@ LeafHandle* LeafTree::NewHandle(PmLeaf* leaf, uint64_t sep) {
 LeafHandle* LeafTree::RouteAndLock(uint64_t key) {
   for (;;) {
     bool found = false;
-    LeafHandle* handle = inner_.RouteFloor(key, &found);
+    uint64_t stamp = 0;
+    LeafHandle* handle = inner_.RouteFloor(key, &found, &stamp);
     assert(found);
     if (!handle->TryLock()) {
       std::this_thread::yield();
       continue;
     }
-    if (handle->dead() || inner_.RouteFloor(key) != handle) {
+    if (handle->dead() || !inner_.StillRoutes(stamp, key, handle)) {
       handle->Unlock();
       continue;
     }
@@ -260,12 +261,13 @@ bool LeafTree::Lookup(uint64_t key, uint64_t* value_out) {
   pmsim::AdvanceCpu(8 * rt_.device().config().cost.dram_access_ns);
   for (;;) {
     bool found = false;
-    LeafHandle* handle = inner_.RouteFloor(key, &found);
+    uint64_t stamp = 0;
+    LeafHandle* handle = inner_.RouteFloor(key, &found, &stamp);
     if (!found) {
       return false;
     }
     uint64_t snapshot = handle->ReadBegin();
-    if (handle->dead() || inner_.RouteFloor(key) != handle) {
+    if (handle->dead() || !inner_.StillRoutes(stamp, key, handle)) {
       continue;
     }
     PmLeaf* leaf = handle->leaf();

@@ -12,7 +12,6 @@
 #include "src/common/env.h"
 #include "src/common/rng.h"
 #include "src/common/zipfian.h"
-#include "src/metrics/clock.h"
 #include "src/metrics/metrics.h"
 #include "src/pmem/value_store.h"
 #include "src/pmsim/check_report.h"
@@ -237,6 +236,7 @@ RunResult RunWorkload(kvindex::Runtime& runtime, kvindex::KvIndex& index,
     // Per-component share of each op's latency (collect_component_latency).
     // Whole-op latency goes through the metrics registry instead.
     std::array<metrics::Histogram, trace::kNumComponents> comp_latency;
+    metrics::WallSampler wall;
     uint64_t final_vtime = 0;
 
     WorkerState(const RunConfig& config, int w)
@@ -264,9 +264,16 @@ RunResult RunWorkload(kvindex::Runtime& runtime, kvindex::KvIndex& index,
   auto run_one = [&](WorkerState& st, uint64_t i) {
     pmsim::ThreadContext* ctx = pmsim::ThreadContext::Current();
     OpType op = config.mix != nullptr ? st.picker.Next() : config.op;
+    // Insert/update/delete are all upsert-class writes (the paper implements
+    // all three as upsert, §4.2).
+    const metrics::OpKind kind = op == OpType::kRead   ? metrics::OpKind::kLookup
+                                 : op == OpType::kScan ? metrics::OpKind::kScan
+                                                       : metrics::OpKind::kUpsert;
     uint64_t t0 = ctx->now_ns();
-    // Wall clock read only on the enabled path (sanctioned shim, lint R6).
-    uint64_t wall0 = metrics_on ? metrics::WallNowNs() : 0;
+    // Sampled wall timing, only on the enabled path (shim clock, lint R6).
+    if (metrics_on) {
+      st.wall.Begin(kind);
+    }
     // Scope-timing table snapshot at op start. The flush first charges any
     // straggler time (inter-op gaps, worker switches) outside the op, so the
     // end-of-op delta is exactly this op's per-component time.
@@ -328,12 +335,7 @@ RunResult RunWorkload(kvindex::Runtime& runtime, kvindex::KvIndex& index,
       }
     }
     if (metrics_on) {
-      // Insert/update/delete are all upsert-class writes (the paper
-      // implements all three as upsert, §4.2).
-      metrics::OpKind kind = op == OpType::kRead   ? metrics::OpKind::kLookup
-                             : op == OpType::kScan ? metrics::OpKind::kScan
-                                                   : metrics::OpKind::kUpsert;
-      metrics::RecordOp(kind, ctx->now_ns() - t0, metrics::WallNowNs() - wall0);
+      metrics::RecordOp(kind, ctx->now_ns() - t0, st.wall.End());
     }
     if (config.collect_component_latency) {
       trace::FlushScopeTime();

@@ -434,7 +434,10 @@ class CAPABILITY("seqlock") SeqLock {
     return ok;
   }
 
-  // Raw version word (structure dumps / assertions only).
+  // Raw version word: structure dumps, assertions, and re-checking a
+  // snapshot an earlier ReadValidate already accepted (an equal version
+  // means no writer has run since; there is no read section to open or
+  // retire).
   uint64_t version() const { return version_.load(std::memory_order_acquire); }
 
   const char* name() const { return name_; }

@@ -197,7 +197,8 @@ BufferNode* CclBTree::RouteAndLock(uint64_t key) {
   trace::TraceScope scope(trace::Component::kInner);
   for (;;) {
     bool found = false;
-    BufferNode* bn = inner_.RouteFloor(key, &found);
+    uint64_t stamp = 0;
+    BufferNode* bn = inner_.RouteFloor(key, &found, &stamp);
     assert(found && "sentinel separator 0 must exist");
     if (!bn->TryLock()) {
       std::this_thread::yield();
@@ -205,7 +206,7 @@ BufferNode* CclBTree::RouteAndLock(uint64_t key) {
     }
     // Re-validate under the lock: the node may have died (merge) or split
     // away the range containing `key` between routing and locking.
-    if (bn->dead() || inner_.RouteFloor(key) != bn) {
+    if (bn->dead() || !inner_.StillRoutes(stamp, key, bn)) {
       bn->Unlock();
       continue;
     }
@@ -588,7 +589,8 @@ void CclBTree::TryMergeLeft(uint64_t sep) {
   assert(sep != 0);
   for (;;) {
     bool found = false;
-    BufferNode* left = inner_.RouteFloor(sep - 1, &found);
+    uint64_t stamp = 0;
+    BufferNode* left = inner_.RouteFloor(sep - 1, &found, &stamp);
     if (!found) {
       return;
     }
@@ -604,7 +606,7 @@ void CclBTree::TryMergeLeft(uint64_t sep) {
       std::this_thread::yield();
       continue;
     }
-    if (left->dead() || inner_.RouteFloor(sep - 1) != left) {
+    if (left->dead() || !inner_.StillRoutes(stamp, sep - 1, left)) {
       left->Unlock();
       continue;
     }
@@ -702,12 +704,13 @@ bool CclBTree::Lookup(uint64_t key, uint64_t* value_out) {
   for (;;) {
     ChargeInnerDescent();
     bool found = false;
-    BufferNode* bn = inner_.RouteFloor(key, &found);
+    uint64_t stamp = 0;
+    BufferNode* bn = inner_.RouteFloor(key, &found, &stamp);
     if (!found) {
       return false;
     }
     uint64_t snapshot = bn->ReadBegin();
-    if (bn->dead() || inner_.RouteFloor(key) != bn) {
+    if (bn->dead() || !inner_.StillRoutes(stamp, key, bn)) {
       continue;
     }
     // Start the PM leaf's header line (bitmap + fingerprints) toward the
@@ -757,8 +760,9 @@ size_t CclBTree::Scan(uint64_t start_key, size_t count, kvindex::KeyValue* out) 
   assert(pmsim::ThreadContext::Current() != nullptr);
   size_t produced = 0;
   uint64_t cursor = start_key;
-  std::vector<kvindex::KeyValue> window;
-  window.reserve(kLeafSlots + 8);
+  // One leaf's entries plus the buffered ones (at most 8, like `buffered`
+  // below): a fixed bound, so a scan allocates nothing.
+  kvindex::KeyValue window[kLeafSlots + 8];
   for (;;) {
     if (produced >= count) {
       break;
@@ -773,7 +777,6 @@ size_t CclBTree::Scan(uint64_t start_key, size_t count, kvindex::KeyValue* out) 
     bool have_next = inner_.NextEntry(cursor, &next_sep, &next_bn);
 
     // Optimistically snapshot the buffer node + leaf.
-    window.clear();
     uint64_t snapshot = bn->ReadBegin();
     if (bn->dead()) {
       continue;  // Re-route: the separator map has changed.
@@ -795,28 +798,30 @@ size_t CclBTree::Scan(uint64_t start_key, size_t count, kvindex::KeyValue* out) 
     // Merge: leaf entries, overlaid by the newest buffered values (§4.3 —
     // "retain the entries stored in the buffer nodes since [they] always
     // store the latest versions").
+    size_t n = 0;
     for (uint64_t bits = MetaBitmap(leaf_copy.meta.load(std::memory_order_relaxed)); bits != 0;
          bits &= bits - 1) {
-      window.push_back(leaf_copy.kvs[__builtin_ctzll(bits)]);
+      window[n++] = leaf_copy.kvs[__builtin_ctzll(bits)];
     }
     for (int i = 0; i < pos; i++) {
       bool replaced = false;
-      for (auto& entry : window) {
-        if (entry.key == buffered[i].key) {
-          entry.value = buffered[i].value;
+      for (size_t j = 0; j < n; j++) {
+        if (window[j].key == buffered[i].key) {
+          window[j].value = buffered[i].value;
           replaced = true;
           break;
         }
       }
       if (!replaced) {
-        window.push_back(buffered[i]);
+        window[n++] = buffered[i];
       }
     }
-    std::sort(window.begin(), window.end(),
+    std::sort(window, window + n,
               [](const kvindex::KeyValue& a, const kvindex::KeyValue& b) { return a.key < b.key; });
-    ChargeDram(window.size() * 6 + static_cast<uint64_t>(nbatch));
+    ChargeDram(n * 6 + static_cast<uint64_t>(nbatch));
 
-    for (const auto& entry : window) {
+    for (size_t j = 0; j < n; j++) {
+      const kvindex::KeyValue& entry = window[j];
       if (entry.key < cursor || entry.value == kTombstone) {
         continue;
       }

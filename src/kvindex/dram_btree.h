@@ -73,15 +73,31 @@ class DramBTree {
 
   // Payload of the greatest separator <= key; `found`=false if the tree has
   // no separator <= key (possible only before the caller seeds a sentinel).
-  V RouteFloor(uint64_t key, bool* found = nullptr) const {
+  // `stamp` receives the version the answer was validated under; pass it to
+  // StillRoutes to re-check the answer later without another descent.
+  V RouteFloor(uint64_t key, bool* found = nullptr, uint64_t* stamp = nullptr) const {
     uint64_t sep = 0;
     V value{};
     bool has = false;
-    ReadSnapshot([&] { return FloorEntryImpl(key, &sep, &value, &has); });
+    uint64_t version = ReadSnapshot([&] { return FloorEntryImpl(key, &sep, &value, &has); });
     if (found != nullptr) {
       *found = has;
     }
+    if (stamp != nullptr) {
+      *stamp = version;
+    }
     return has ? value : V{};
+  }
+
+  // True iff RouteFloor(key) would still return `value`, where `stamp` came
+  // from the RouteFloor call that returned it. While no writer has run since
+  // (the version still equals the stamp) that is one acquire load and no
+  // read section (the stamp was already validated); otherwise it is a fresh
+  // descent. Callers issue it after an acquire of their own on the routed
+  // node (TryLock or ReadBegin), which keeps the load from moving ahead of
+  // that point (DESIGN.md §12).
+  bool StillRoutes(uint64_t stamp, uint64_t key, V value) const {
+    return version_.version() == stamp || RouteFloor(key) == value;
   }
 
   // Like RouteFloor, but also reports the separator key itself.
@@ -254,8 +270,10 @@ class DramBTree {
   // the version is unchanged and even. After kOptimisticAttempts the reader
   // falls back to the shared lock (writers are exclusive, so under the lock
   // the body always completes and the result is consistent by construction).
+  // Returns the version the result is valid under: the validated snapshot,
+  // or under the lock the (even, stable) current version.
   template <typename Body>
-  void ReadSnapshot(Body&& body) const {
+  uint64_t ReadSnapshot(Body&& body) const {
     for (int attempt = 0; attempt < kOptimisticAttempts; attempt++) {
       uint64_t v = version_.ReadBeginNoWait();
       if ((v & 1) == 0) {
@@ -264,7 +282,7 @@ class DramBTree {
         // read section and owes the observer exactly one validate.
         bool unchanged = version_.ReadValidate(v);
         if (complete && unchanged) {
-          return;
+          return v;
         }
       }
       simd::CpuRelax();
@@ -273,6 +291,7 @@ class DramBTree {
     bool complete = body();
     assert(complete);
     (void)complete;
+    return version_.version();
   }
 
   static int ClampCount(int count, int cap) {

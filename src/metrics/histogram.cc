@@ -37,10 +37,13 @@ uint64_t Histogram::BucketUpperBound(int bucket) {
 
 uint64_t Histogram::MaxTrackable() { return BucketUpperBound(kNumBuckets - 1); }
 
-void Histogram::Record(uint64_t value) {
-  buckets_[static_cast<size_t>(BucketFor(value))]++;
-  count_++;
-  sum_ += value;
+void Histogram::Record(uint64_t value, uint64_t weight) {
+  if (weight == 0) {
+    return;
+  }
+  buckets_[static_cast<size_t>(BucketFor(value))] += weight;
+  count_ += weight;
+  sum_ += value * weight;
   min_ = std::min(min_, value);
   max_ = std::max(max_, value);
 }

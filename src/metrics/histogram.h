@@ -30,7 +30,10 @@ class Histogram {
 
   Histogram();
 
-  void Record(uint64_t value);
+  // Records `value` as `weight` observations: a sampled stream that keeps
+  // 1 value in N records each with weight N, so Count, Sum and the
+  // percentiles estimate the whole stream. Weight 0 records nothing.
+  void Record(uint64_t value, uint64_t weight = 1);
 
   // Merge another histogram (e.g. per-shard histograms at snapshot time).
   void Merge(const Histogram& other);

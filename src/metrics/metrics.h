@@ -23,9 +23,14 @@
 // possibly missing in-flight increments); histograms are single-writer and
 // must only be merged when their writer is quiesced.
 //
-// Layering: depends on nothing in the repo but src/metrics/histogram.h.
-// Wall time enters only through the sanctioned shim (src/metrics/clock.h,
-// lint R6) and only via RecordOp's wall argument.
+// Layering: depends on nothing in the repo but src/metrics/histogram.h and
+// the sanctioned wall-clock shim (src/metrics/clock.h, lint R6). Wall time
+// enters only through RecordOp's wall argument.
+//
+// Wall sampling: the service and the closed-loop driver time 1 op in
+// kWallSampleStride of each kind (WallSampler) and record it with weight
+// kWallSampleStride, so wall Count/Sum/percentiles are estimates of the whole
+// op stream while virtual histograms record every op exactly.
 #ifndef SRC_METRICS_METRICS_H_
 #define SRC_METRICS_METRICS_H_
 
@@ -33,6 +38,7 @@
 #include <cstddef>
 #include <cstdint>
 
+#include "src/metrics/clock.h"
 #include "src/metrics/histogram.h"
 
 namespace cclbt::metrics {
@@ -125,16 +131,61 @@ inline void Add(Counter c, uint64_t n = 1) {
   detail::Bump(Shard()->counters[static_cast<size_t>(c)], n);
 }
 
-// Records one operation's latency in both clocks. Callers pass wall_ns
-// deltas derived from metrics::WallNowNs() (the sanctioned shim) only.
-inline void RecordOp(OpKind k, uint64_t virtual_ns, uint64_t wall_ns) {
+// One op's wall time as a wall-histogram contribution: `weight` ops' worth
+// of `ns`, a delta of metrics::WallNowNs() (the sanctioned shim) only.
+// Weight 1 is an exactly timed op, kWallSampleStride a WallSampler sample,
+// 0 an untimed op.
+struct WallSample {
+  uint64_t ns = 0;
+  uint64_t weight = 0;
+};
+
+// Records one operation's latency in both clocks: the virtual latency
+// exactly, the wall sample with its weight.
+inline void RecordOp(OpKind k, uint64_t virtual_ns, WallSample wall) {
   if (!Enabled()) {
     return;
   }
   MetricsShard* s = Shard();
   s->op_virtual[static_cast<size_t>(k)].Record(virtual_ns);
-  s->op_wall[static_cast<size_t>(k)].Record(wall_ns);
+  s->op_wall[static_cast<size_t>(k)].Record(wall.ns, wall.weight);
 }
+
+// Ops per wall-clock reading. A clock read costs tens of ns on a VM host, a
+// large share of a short op; one read pair per 8 ops keeps the wall ledger
+// cheap and still leaves thousands of samples behind every percentile.
+inline constexpr uint32_t kWallSampleStride = 8;
+
+// Per-kind 1-in-kWallSampleStride wall timer for a sequence of ops run by
+// one thread. The first op of each kind is timed, then every
+// kWallSampleStride-th, so n ops of a kind record a wall Count of
+// kWallSampleStride * ceil(n / kWallSampleStride): at most one stride above
+// the exact count. Deterministic in the op sequence.
+class WallSampler {
+ public:
+  // Call right before the op; reads the clock only for a sampled op.
+  void Begin(OpKind k) {
+    uint32_t& phase = phase_[static_cast<size_t>(k)];
+    sampled_ = phase == 0;
+    phase = phase + 1 == kWallSampleStride ? 0 : phase + 1;
+    if (sampled_) {
+      start_ns_ = WallNowNs();
+    }
+  }
+  // Call right after the op begun last. The interval holds the cost of one
+  // clock read, which the weight charges to the unsampled ops as well: a
+  // weighted Sum overstates the ops' wall time by about
+  // (kWallSampleStride - 1) / kWallSampleStride * ops * one read (DESIGN.md
+  // §13).
+  WallSample End() const {
+    return sampled_ ? WallSample{WallNowNs() - start_ns_, kWallSampleStride} : WallSample{};
+  }
+
+ private:
+  uint32_t phase_[kNumOpKinds] = {};
+  bool sampled_ = false;
+  uint64_t start_ns_ = 0;
+};
 
 // Merged totals of every shard (base semantics: shards of dead threads are
 // retained until Reset). Exact when quiesced; see file header.

@@ -6,7 +6,6 @@
 #include <utility>
 
 #include "src/bench/metrics_dump.h"
-#include "src/metrics/clock.h"
 #include "src/metrics/metrics.h"
 #include "src/pmsim/thread_context.h"
 
@@ -46,6 +45,7 @@ struct ShardedKvService::Shard {
 ShardedKvService::ShardedKvService(kvindex::Runtime& runtime, const ServiceConfig& config)
     : rt_(runtime), config_(config), scan_out_(config.scan_len == 0 ? 1 : config.scan_len) {
   assert(config_.shards >= 1);
+  batch_.reserve(config_.batch_ops);
   trees_.reserve(static_cast<size_t>(config_.shards));
   shards_.reserve(static_cast<size_t>(config_.shards));
   for (int s = 0; s < config_.shards; s++) {
@@ -98,19 +98,14 @@ void ShardedKvService::ServeBatch(int s, uint64_t start_ns, bool closed_loop) {
   if (ctx->now_ns() < start_ns) {
     ctx->ResetClock(start_ns);  // shard was idle until the head request arrived
   }
-  struct Served {
-    Request req;
-    uint64_t wall_ns;
-  };
-  std::vector<Served> batch;
-  batch.reserve(config_.batch_ops);
+  batch_.clear();
   // Only requests that have arrived by the batch start may ride in it (the
   // head always qualifies; later queue entries may still be in the future).
-  while (batch.size() < config_.batch_ops && !sh.queue.empty() &&
+  while (batch_.size() < config_.batch_ops && !sh.queue.empty() &&
          (closed_loop || sh.queue.front().arrival_ns <= start_ns)) {
     Request req = sh.queue.front();
     sh.queue.pop_front();
-    uint64_t wall0 = metrics::WallNowNs();
+    wall_sampler_.Begin(KindOf(req.op));
     kvindex::KvIndex& tree = *trees_[static_cast<size_t>(s)];
     switch (req.op) {
       case OpType::kInsert:
@@ -131,21 +126,21 @@ void ShardedKvService::ServeBatch(int s, uint64_t start_ns, bool closed_loop) {
         tree.Scan(req.key, config_.scan_len, scan_out_.data());
         break;
     }
-    batch.push_back({req, metrics::WallNowNs() - wall0});
+    batch_.push_back({req, wall_sampler_.End()});
   }
   // Group commit: every request in the batch is acked at the batch's
   // completion; an admitted request's latency spans arrival -> ack. In
   // closed-loop (capacity probe) mode arrivals are synthetic, so latency is
   // service-only (start -> ack).
   uint64_t done_ns = ctx->now_ns();
-  for (const Served& sv : batch) {
+  for (const Served& sv : batch_) {
     uint64_t arrival = closed_loop ? start_ns : sv.req.arrival_ns;
-    metrics::RecordOp(KindOf(sv.req.op), done_ns - arrival, sv.wall_ns);
+    metrics::RecordOp(KindOf(sv.req.op), done_ns - arrival, sv.wall);
     if (config_.track_acked && IsWrite(sv.req.op)) {
       acked_[sv.req.key] = sv.req.op == OpType::kDelete ? 0 : sv.req.value;
     }
   }
-  sh.stats.completed += batch.size();
+  sh.stats.completed += batch_.size();
   sh.stats.batches++;
   metrics::Add(metrics::Counter::kServiceBatches);
 }
@@ -154,6 +149,7 @@ ServiceResult ShardedKvService::Run(const OpenLoopConfig& workload) {
   const bool closed_loop = workload.offered_mops <= 0;
   metrics::Reset();
   metrics::SetEnabled(true);
+  wall_sampler_ = {};
   pmsim::StatsSnapshot before = rt_.device().stats().Snapshot();
   for (auto& sh : shards_) {
     ShardStats fresh;

@@ -41,6 +41,7 @@
 #include "src/bench/index_factory.h"
 #include "src/kvindex/kv_index.h"
 #include "src/kvindex/runtime.h"
+#include "src/metrics/metrics.h"
 #include "src/metrics/pmmetrics.h"
 #include "src/pmsim/device.h"
 #include "src/service/workload.h"
@@ -136,6 +137,11 @@ class ShardedKvService {
 
  private:
   struct Shard;
+  // One request of the batch being served, with its sampled wall time.
+  struct Served {
+    Request req;
+    metrics::WallSample wall;
+  };
 
   // Serves one group-commit batch on shard `s`, starting at virtual time
   // `start_ns` (>= the shard clock; the gap is modeled idle waiting).
@@ -147,6 +153,9 @@ class ShardedKvService {
   std::vector<std::unique_ptr<Shard>> shards_;
   std::map<uint64_t, uint64_t> acked_;
   std::vector<kvindex::KeyValue> scan_out_;
+  // ServeBatch's scratch, reused so group commit allocates nothing.
+  std::vector<Served> batch_;
+  metrics::WallSampler wall_sampler_;
 };
 
 }  // namespace cclbt::service

@@ -1,5 +1,7 @@
 // Unit + property tests for the DRAM inner-index B+-tree (floor routing,
-// splits across many levels, removal, ordered iteration, concurrency).
+// splits across many levels, removal, ordered iteration, concurrency), and
+// for stamped routing (RouteFloor's stamp + StillRoutes), including a
+// real-thread race of CclBTree::Lookup against leaf splits and merges.
 #include <algorithm>
 #include <map>
 #include <random>
@@ -8,8 +10,12 @@
 
 #include <gtest/gtest.h>
 
+#include "src/common/lock.h"
 #include "src/common/rng.h"
+#include "src/core/ccl_btree.h"
 #include "src/kvindex/dram_btree.h"
+#include "src/kvindex/runtime.h"
+#include "src/pmsim/thread_context.h"
 
 namespace cclbt::kvindex {
 namespace {
@@ -340,6 +346,148 @@ TEST(DramBTree, OptimisticDescentStress) {
     prev = key;
     return true;
   });
+}
+
+// --- stamped routing ----------------------------------------------------------
+
+// Counts seqlock read sections opened and retired while installed.
+// Single-threaded use only.
+class SeqSectionCounter final : public sync::LockObserver {
+ public:
+  void OnLockAcquire(const void*, const char*, sync::LockKind, bool, bool) override {}
+  void OnLockRelease(const void*, const char*, sync::LockKind, bool) override {}
+  void OnSeqReadBegin(const void*, const char*) override { begins++; }
+  void OnSeqReadRetire(const void*, const char*, bool) override { retires++; }
+  int begins = 0;
+  int retires = 0;
+};
+
+// Separators 0, 10, ..., 2000, each routing to itself.
+void FillTens(DramBTree<uint64_t>* tree) {
+  for (uint64_t k = 0; k <= 2000; k += 10) {
+    tree->Insert(k, k);
+  }
+}
+
+TEST(DramBTreeStamp, UnchangedStampValidatesWithoutAReadSection) {
+  DramBTree<uint64_t> tree;
+  FillTens(&tree);
+  bool found = false;
+  uint64_t stamp = 0;
+  uint64_t routed = tree.RouteFloor(555, &found, &stamp);
+  ASSERT_TRUE(found);
+  EXPECT_EQ(routed, 550u);
+  EXPECT_EQ(stamp % 2, 0u);  // validated stamps are even (no writer inside)
+
+  SeqSectionCounter counter;
+  ASSERT_TRUE(sync::InstallObserver(&counter));
+  bool still = tree.StillRoutes(stamp, 555, routed);
+  sync::RemoveObserver(&counter);
+  EXPECT_TRUE(still);
+  EXPECT_EQ(counter.begins, 0);  // one version load, no section to retire
+  EXPECT_EQ(counter.retires, 0);
+}
+
+TEST(DramBTreeStamp, SeparatorTakingTheKeysRangeFailsValidation) {
+  DramBTree<uint64_t> tree;
+  FillTens(&tree);
+  uint64_t stamp = 0;
+  uint64_t routed = tree.RouteFloor(555, nullptr, &stamp);
+  ASSERT_EQ(routed, 550u);
+  tree.Insert(553, 553);  // a split: 553 now covers [553, 560)
+  EXPECT_FALSE(tree.StillRoutes(stamp, 555, routed));
+  EXPECT_TRUE(tree.StillRoutes(stamp, 551, routed));  // still 550's range
+
+  routed = tree.RouteFloor(555, nullptr, &stamp);
+  ASSERT_EQ(routed, 553u);
+  tree.Remove(553);  // a merge: the range goes back to 550
+  EXPECT_FALSE(tree.StillRoutes(stamp, 555, routed));
+  EXPECT_TRUE(tree.StillRoutes(stamp, 555, 550));
+}
+
+TEST(DramBTreeStamp, UnrelatedInsertFallsBackToADescentAndPasses) {
+  DramBTree<uint64_t> tree;
+  FillTens(&tree);
+  uint64_t stamp = 0;
+  uint64_t routed = tree.RouteFloor(555, nullptr, &stamp);
+  tree.Insert(1234, 1234);  // moves the version, not 555's range
+
+  SeqSectionCounter counter;
+  ASSERT_TRUE(sync::InstallObserver(&counter));
+  bool still = tree.StillRoutes(stamp, 555, routed);
+  sync::RemoveObserver(&counter);
+  EXPECT_TRUE(still);
+  // The fallback is one ordinary RouteFloor: one section, retired.
+  EXPECT_EQ(counter.begins, 1);
+  EXPECT_EQ(counter.retires, 1);
+}
+
+// Real threads race CclBTree::Lookup, whose routing is re-checked with
+// StillRoutes, against the leaf splits and merges that move separators:
+// writers churn their own keys in and out of the key range while readers
+// look up keys that stay present throughout. A stale route would read the
+// wrong leaf and miss. Runs in the TSan subset (tools/ci.sh step 11).
+TEST(DramBTreeStamp, CclBTreeLookupRacingSplitsAndMergesNeverMisses) {
+  RuntimeOptions rt_options;
+  rt_options.device.pool_bytes = 256 << 20;
+  rt_options.device.num_sockets = 1;
+  rt_options.device.dimms_per_socket = 2;
+  Runtime rt(rt_options);
+  core::TreeOptions options;
+  options.background_gc = false;
+  core::CclBTree tree(rt, options);
+  constexpr uint64_t kStable = 2000;  // present keys: 4k, value 4k + 1
+  {
+    pmsim::ThreadContext ctx(rt.device(), 0, 0);
+    for (uint64_t k = 1; k <= kStable; k++) {
+      tree.Upsert(4 * k, 4 * k + 1);
+    }
+  }
+  const uint64_t splits_before = tree.splits();
+  std::atomic<bool> stop{false};
+  std::atomic<int> misses{0};
+  std::vector<std::thread> writers;
+  for (int t = 0; t < 2; t++) {
+    writers.emplace_back([&tree, &rt, t] {
+      pmsim::ThreadContext ctx(rt.device(), 0, 1 + t);
+      // Thread t owns keys 4k + 1 + 2t: filling them splits leaves,
+      // deleting them again underfills leaves and merges them.
+      for (int round = 0; round < 6; round++) {
+        for (uint64_t k = 1; k <= kStable; k++) {
+          tree.Upsert(4 * k + 1 + 2 * static_cast<uint64_t>(t), k);
+        }
+        for (uint64_t k = 1; k <= kStable; k++) {
+          tree.Remove(4 * k + 1 + 2 * static_cast<uint64_t>(t));
+        }
+      }
+    });
+  }
+  std::vector<std::thread> readers;
+  for (int t = 0; t < 2; t++) {
+    readers.emplace_back([&tree, &rt, &stop, &misses, t] {
+      pmsim::ThreadContext ctx(rt.device(), 0, 3 + t);
+      Rng rng(static_cast<uint64_t>(t) + 5);
+      while (!stop.load(std::memory_order_acquire)) {
+        uint64_t key = 4 * (rng.NextBounded(kStable) + 1);
+        uint64_t value = 0;
+        if (!tree.Lookup(key, &value) || value != key + 1) {
+          misses++;
+        }
+      }
+    });
+  }
+  for (auto& writer : writers) {
+    writer.join();
+  }
+  stop.store(true, std::memory_order_release);
+  for (auto& reader : readers) {
+    reader.join();
+  }
+  EXPECT_EQ(misses.load(), 0);
+  EXPECT_GT(tree.splits(), splits_before);
+  EXPECT_GT(tree.merges(), 0u);
+  pmsim::ThreadContext ctx(rt.device(), 0, 0);
+  EXPECT_TRUE(tree.CheckInvariants());
 }
 
 }  // namespace

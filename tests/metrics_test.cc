@@ -144,6 +144,86 @@ TEST(Histogram, DeltaIsWindowed) {
             Histogram::BucketUpperBound(Histogram::BucketFor(1000000)));
 }
 
+// A value recorded with weight w is w observations of that value: a weighted
+// histogram equals one that records every observation, under every view.
+TEST(Histogram, WeightedRecordEqualsRepeatedRecord) {
+  Histogram weighted;
+  Histogram repeated;
+  Rng rng(5);
+  for (int i = 0; i < 500; i++) {
+    uint64_t value = rng.NextBounded(1'000'000);
+    uint64_t weight = rng.NextBounded(9);  // 0 records nothing
+    weighted.Record(value, weight);
+    for (uint64_t w = 0; w < weight; w++) {
+      repeated.Record(value);
+    }
+  }
+  ASSERT_EQ(weighted.Count(), repeated.Count());
+  EXPECT_EQ(weighted.Sum(), repeated.Sum());
+  EXPECT_EQ(weighted.Min(), repeated.Min());
+  EXPECT_EQ(weighted.Max(), repeated.Max());
+  for (double p : {0.0, 1.0, 25.0, 50.0, 90.0, 99.0, 99.9, 100.0}) {
+    EXPECT_EQ(weighted.Percentile(p), repeated.Percentile(p)) << "p" << p;
+  }
+}
+
+TEST(Histogram, WeightedMergeAndDelta) {
+  Histogram a;
+  a.Record(100, 8);
+  Histogram earlier = a;
+  a.Record(5000, 8);
+  a.Record(5000, 8);
+  Histogram window = a.Delta(earlier);
+  EXPECT_EQ(window.Count(), 16u);
+  EXPECT_EQ(window.Sum(), 16u * 5000u);
+  EXPECT_GE(window.Percentile(50), 5000u);
+
+  Histogram b;
+  b.Record(7, 3);
+  b.Merge(a);
+  EXPECT_EQ(b.Count(), 3u + 24u);
+  EXPECT_EQ(b.Sum(), 21u + 800u + 80000u);
+  EXPECT_EQ(b.Min(), 7u);
+  EXPECT_EQ(b.Max(), 5000u);
+  // 3 of 27 observations are 7, 8 are 100: the 30th percentile is 100's
+  // bucket.
+  EXPECT_EQ(b.Percentile(30), Histogram::BucketUpperBound(Histogram::BucketFor(100)));
+}
+
+// The sampled wall timer times the first op of each kind and every
+// kWallSampleStride-th after it, per kind; with weight kWallSampleStride the
+// wall Count is within one stride above the exact op count.
+TEST(WallSampler, SamplesOneInStridePerKind) {
+  metrics::SetEnabled(true);
+  metrics::Reset();
+  metrics::WallSampler sampler;
+  const uint64_t kOps[metrics::kNumOpKinds] = {1, 8, 9, 21};
+  uint64_t timed[metrics::kNumOpKinds] = {};
+  for (int k = 0; k < metrics::kNumOpKinds; k++) {
+    auto kind = static_cast<metrics::OpKind>(k);
+    for (uint64_t i = 0; i < kOps[k]; i++) {
+      sampler.Begin(kind);
+      metrics::WallSample wall = sampler.End();
+      if (wall.weight != 0) {
+        EXPECT_EQ(wall.weight, metrics::kWallSampleStride);
+        EXPECT_EQ(i % metrics::kWallSampleStride, 0u) << "op " << i;
+        timed[k]++;
+      }
+      metrics::RecordOp(kind, 100 + i, wall);
+    }
+  }
+  metrics::MetricsSnapshot snap = metrics::Snapshot();
+  metrics::SetEnabled(false);
+  for (int k = 0; k < metrics::kNumOpKinds; k++) {
+    auto kind = static_cast<metrics::OpKind>(k);
+    uint64_t stride = metrics::kWallSampleStride;
+    EXPECT_EQ(timed[k], (kOps[k] + stride - 1) / stride);
+    EXPECT_EQ(snap.virt(kind).Count(), kOps[k]);
+    EXPECT_GE(snap.wall(kind).Count(), kOps[k]);
+    EXPECT_LT(snap.wall(kind).Count(), kOps[k] + stride);
+  }
+}
+
 // --- registry: gate and shard lifecycle -------------------------------------
 
 // The disabled gate must never register a shard: one relaxed load, no TLS
@@ -154,7 +234,7 @@ TEST(MetricsRegistry, DisabledGateRegistersNoShard) {
   std::thread t([] {
     for (int i = 0; i < 1000; i++) {
       metrics::Add(metrics::Counter::kBufferAbsorbs);
-      metrics::RecordOp(metrics::OpKind::kUpsert, 100, 100);
+      metrics::RecordOp(metrics::OpKind::kUpsert, 100, {100, 1});
     }
   });
   t.join();
@@ -176,7 +256,7 @@ TEST(MetricsRegistry, ShardMergeConservation) {
       for (uint64_t i = 0; i < ops; i++) {
         metrics::Add(metrics::Counter::kBufferAbsorbs);
         metrics::Add(metrics::Counter::kWalAppendBytes, 64);
-        metrics::RecordOp(metrics::OpKind::kUpsert, 100 + static_cast<uint64_t>(t), 50);
+        metrics::RecordOp(metrics::OpKind::kUpsert, 100 + static_cast<uint64_t>(t), {50, 1});
       }
     });
   }

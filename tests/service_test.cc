@@ -133,6 +133,81 @@ TEST(Service, EpochSeriesAndShedCountsAreBitIdenticalAcrossRuns) {
   }
 }
 
+// --- sampled wall timing -----------------------------------------------------
+
+// Every op kind, including upsert-class deletes/updates and scans.
+constexpr YcsbMix kAllKindsMix{"all-kinds", 40, 40, 10};
+
+metrics::OpKind KindOfRequest(OpType op) {
+  switch (op) {
+    case OpType::kRead:
+      return metrics::OpKind::kLookup;
+    case OpType::kScan:
+      return metrics::OpKind::kScan;
+    default:
+      return metrics::OpKind::kUpsert;
+  }
+}
+
+ServiceResult RunAllKinds() {
+  kvindex::Runtime rt(SmallRuntime());
+  ShardedKvService svc(rt, SmallService(2));
+  OpenLoopConfig w = SmallWorkload(0.0);  // closed loop: nothing is shed
+  w.mix = &kAllKindsMix;
+  svc.Warm(w);
+  return svc.Run(w);
+}
+
+// Wall time is sampled 1 op in kWallSampleStride per kind with weight
+// kWallSampleStride; virtual latency is recorded for every op. So per kind
+// the virtual Count is exactly the op count, the wall Count is at most one
+// stride above it, and the virtual histograms and epoch series repeat byte
+// for byte even though the wall samples do not.
+TEST(Service, WallTimingIsSampledAndVirtualRecordingIsExact) {
+  OpenLoopConfig w = SmallWorkload(0.0);
+  w.mix = &kAllKindsMix;
+  uint64_t expected[metrics::kNumOpKinds] = {};
+  OpenLoopGenerator gen(w);
+  Request req;
+  while (gen.Next(&req)) {
+    expected[static_cast<size_t>(KindOfRequest(req.op))]++;
+  }
+
+  ServiceResult a = RunAllKinds();
+  ServiceResult b = RunAllKinds();
+  ASSERT_EQ(a.shed, 0u);
+  ASSERT_EQ(a.completed, w.ops);
+  const uint64_t stride = metrics::kWallSampleStride;
+  for (int k = 0; k < metrics::kNumOpKinds; k++) {
+    const metrics::Histogram& virt = a.metrics_snapshot.op_virtual[k];
+    const metrics::Histogram& wall = a.metrics_snapshot.op_wall[k];
+    EXPECT_EQ(virt.Count(), expected[k]) << metrics::OpKindName(static_cast<metrics::OpKind>(k));
+    EXPECT_GE(wall.Count(), virt.Count());
+    EXPECT_LT(wall.Count(), virt.Count() + stride);
+    EXPECT_EQ(wall.Count() % stride, 0u);
+
+    const metrics::Histogram& virt_b = b.metrics_snapshot.op_virtual[k];
+    EXPECT_EQ(virt.Count(), virt_b.Count());
+    EXPECT_EQ(virt.Sum(), virt_b.Sum());
+    EXPECT_EQ(virt.Min(), virt_b.Min());
+    EXPECT_EQ(virt.Max(), virt_b.Max());
+    for (int p = 0; p <= 1000; p++) {
+      ASSERT_EQ(virt.Percentile(p / 10.0), virt_b.Percentile(p / 10.0)) << "p" << p / 10.0;
+    }
+  }
+  EXPECT_GT(expected[static_cast<size_t>(metrics::OpKind::kScan)], stride);
+  ASSERT_FALSE(a.epochs.empty());
+  EXPECT_EQ(metrics::SerializeEpochSeries(a.epochs), metrics::SerializeEpochSeries(b.epochs));
+  // The epoch series counts every op, not the sampled ones.
+  for (int k = 0; k < metrics::kNumOpKinds; k++) {
+    uint64_t in_epochs = 0;
+    for (const metrics::EpochRecord& e : a.epochs) {
+      in_epochs += e.ops[static_cast<size_t>(k)];
+    }
+    EXPECT_EQ(in_epochs, expected[k]);
+  }
+}
+
 // --- admission control -------------------------------------------------------
 
 TEST(Service, OverloadShedsInsteadOfGrowingQueues) {

@@ -2,7 +2,9 @@
 # The repo's CI entry point, runnable locally:
 #
 #   1. lint: tools/lint_pm_api.py --self-test (repo persistence/determinism
-#      rules; the self-test seeds one violation per rule first)
+#      rules; the self-test seeds one violation per rule first), plus
+#      tools/perf_ab.sh --dry-run (argument handling, revision resolution and
+#      a self-test of the A/B statistics; builds and runs nothing)
 #   2. tier-1: -Werror build + full ctest (the gate every change must pass)
 #   3. clang-tidy: static analysis build with .clang-tidy (skipped with a
 #      notice when clang-tidy is not installed)
@@ -66,6 +68,7 @@ SANITIZE_FILTER="pmsim|trace|gc_scheduling|pmcheck|lockcheck|simd|dram_btree|med
 
 echo "=== lint: lint_pm_api.py self-test + tree ==="
 python3 tools/lint_pm_api.py --self-test
+tools/perf_ab.sh --dry-run --aa HEAD
 
 echo "=== tier-1: configure + build (-Werror) ==="
 cmake -B build -S . -DWERROR=ON >/dev/null
