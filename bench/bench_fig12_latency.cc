@@ -11,7 +11,7 @@
 // Latency collection goes through the metrics registry (src/metrics): the
 // driver records every op into per-op-kind virtual/wall histograms and
 // RunResult::latency is their merged view — the same single histogram
-// implementation that backs .pmmetrics epoch percentiles.
+// implementation that backs the .pmdump epoch percentiles.
 #include <string>
 
 #include "bench/bench_common.h"

@@ -53,7 +53,7 @@ void RegisterAll() {
             return;
           }
           // Registry view of recovery latency (metrics::OpKind::kRecover);
-          // no-op unless the gate is on (e.g. CCL_METRICS set).
+          // no-op unless the gate is on (e.g. CCL_DUMP set).
           metrics::RecordOp(
               metrics::OpKind::kRecover, tree->last_recovery_modeled_ns(),
               {static_cast<uint64_t>(

@@ -18,12 +18,12 @@
 # runs each staged bench TWICE and diffs the virtual-metric tails
 # (tools/summarize_benches.py --tail): any difference is a violation of the
 # driver determinism contract (DESIGN.md §10) and fails the script. Each run
-# also gets CCL_METRICS set, so every .pmmetrics dump the bench emits is
-# checked two ways: the header+epoch lines must be bit-identical across the
-# two runs (the summary record holds wall-clock data and is excluded), and
-# `pmctl series` must accept each dump (it exits non-zero if any epoch's
-# per-component media-write bytes fail to sum to that epoch's windowed
-# media_write_bytes). FILTER is an optional egrep pattern over binary names
+# also gets CCL_DUMP set, so every .pmdump the bench emits is checked three
+# ways: every line except the `wall` records (the only wall-clock data) must
+# be bit-identical across the two runs, `pmctl stats` must accept each dump
+# (it exits non-zero if the per-component media-write bytes fail to sum to
+# media_write_bytes), and so must `pmctl series` (the same sum, per epoch).
+# FILTER is an optional egrep pattern over binary names
 # (default: every bench). bench_pmsim_hotpath is excluded — it measures host
 # wall time by design. No bench_output.txt / BENCH_*.json artifacts are
 # touched in this mode.
@@ -73,10 +73,10 @@ run_determinism() {
     [ "$name" = "bench_pmsim_hotpath" ] && continue  # wall-clock bench
     echo "$name" | grep -Eq "$filter" || continue
     matched=1
-    rm -f "$mdir1"/*.pmmetrics "$mdir2"/*.pmmetrics
-    CCL_METRICS="$mdir1/m" "$b" > "$out1" 2>&1 \
+    rm -f "$mdir1"/*.pmdump "$mdir2"/*.pmdump
+    CCL_DUMP="$mdir1/d" "$b" > "$out1" 2>&1 \
       || fail "$name exited with status $? (run 1)"
-    CCL_METRICS="$mdir2/m" "$b" > "$out2" 2>&1 \
+    CCL_DUMP="$mdir2/d" "$b" > "$out2" 2>&1 \
       || fail "$name exited with status $? (run 2)"
     tools/summarize_benches.py --tail "$out1" > "$tail1" \
       || fail "$name run 1 produced no metric tail"
@@ -88,12 +88,12 @@ run_determinism() {
       echo "run_benches.sh: DETERMINISM VIOLATION in ${name} (diff above)" >&2
       status=1
     fi
-    # Metrics epoch-series determinism: every .pmmetrics dump of run 1 must
-    # have a bit-identical counterpart (header+epoch lines; the summary
-    # record is wall-clock territory) in run 2, and must satisfy the
-    # per-epoch component-bytes sum invariant enforced by `pmctl series`.
+    # Dump determinism: every .pmdump of run 1 must have a bit-identical
+    # counterpart in run 2 (all lines but the wall-clock `wall` records), and
+    # must satisfy the component-bytes sum invariant, over the whole phase
+    # (`pmctl stats`) and per epoch (`pmctl series`).
     local ndumps=0 dump1 dump2 base
-    for dump1 in "$mdir1"/*.pmmetrics; do
+    for dump1 in "$mdir1"/*.pmdump; do
       [ -e "$dump1" ] || continue
       ndumps=$((ndumps + 1))
       base="$(basename "$dump1")"
@@ -103,27 +103,29 @@ run_determinism() {
         status=1
         continue
       fi
-      if ! diff -u <(grep -v '"type":"summary"' "$dump1") \
-                   <(grep -v '"type":"summary"' "$dump2"); then
-        echo "run_benches.sh: DETERMINISM VIOLATION in ${name} metrics series ${base} (diff above)" >&2
+      if ! diff -u <(grep -v '^wall ' "$dump1") <(grep -v '^wall ' "$dump2"); then
+        echo "run_benches.sh: DETERMINISM VIOLATION in ${name} dump ${base} (diff above)" >&2
         status=1
       fi
-      if ! build/tools/pmctl series "$dump1" > /dev/null; then
-        echo "run_benches.sh: ${name} ${base}: pmctl series rejected the dump (component-bytes sum violation?)" >&2
-        status=1
-      fi
+      local verb
+      for verb in stats series; do
+        if ! build/tools/pmctl "$verb" "$dump1" > /dev/null; then
+          echo "run_benches.sh: ${name} ${base}: pmctl ${verb} rejected the dump (component-bytes sum violation?)" >&2
+          status=1
+        fi
+      done
     done
     if [ "$ndumps" -gt 0 ]; then
-      echo "metrics determinism OK: ${name} (${ndumps} epoch series bit-identical, component sums verified)"
+      echo "dump determinism OK: ${name} (${ndumps} dumps bit-identical but for wall records, component sums verified)"
       total_dumps=$((total_dumps + ndumps))
     else
       # e.g. bench_fig14_gc drives kvindex::Runtime directly, not the driver.
-      echo "metrics: ${name} emitted no .pmmetrics dump (bench bypasses the driver)"
+      echo "dump: ${name} emitted no .pmdump (bench bypasses the driver)"
     fi
   done
   [ "$matched" = 1 ] || fail "--determinism filter '${filter}' matched no bench"
   [ "$total_dumps" -gt 0 ] \
-    || fail "no bench emitted a .pmmetrics dump despite CCL_METRICS being set"
+    || fail "no bench emitted a .pmdump despite CCL_DUMP being set"
   [ "$status" = 0 ] || fail "determinism violations detected"
   echo "DETERMINISM_OK"
   exit 0

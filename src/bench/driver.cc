@@ -5,10 +5,8 @@
 #include <cstdio>
 #include <cstring>
 #include <optional>
-#include <thread>
 
-#include "src/bench/metrics_dump.h"
-#include "src/bench/trace_dump.h"
+#include "src/bench/run_dump.h"
 #include "src/common/env.h"
 #include "src/common/rng.h"
 #include "src/common/zipfian.h"
@@ -56,28 +54,12 @@ struct KeyBlobModel {
 
 // Interleaves `threads` logical workers. Each call of `step(w)` performs a
 // bounded slice of operations and returns false once worker w is finished.
-// Default mode: all workers share the calling OS thread, sliced round-robin
-// so their virtual clocks advance roughly in lockstep (which the per-DIMM
-// queueing model assumes); os_parallel mode uses real threads instead.
+// All workers share the calling OS thread, sliced round-robin so their
+// virtual clocks advance roughly in lockstep (which the per-DIMM queueing
+// model assumes).
 template <typename StepFn>
 void Schedule(const RunConfig& config, std::vector<std::unique_ptr<pmsim::ThreadContext>>& ctxs,
               StepFn&& step) {
-  if (config.os_parallel) {
-    std::vector<std::thread> threads;
-    threads.reserve(static_cast<size_t>(config.threads));
-    for (int w = 0; w < config.threads; w++) {
-      threads.emplace_back([&, w] {
-        pmsim::ThreadContext::SetCurrent(ctxs[static_cast<size_t>(w)].get());
-        while (step(w)) {
-        }
-        pmsim::ThreadContext::SetCurrent(nullptr);
-      });
-    }
-    for (auto& thread : threads) {
-      thread.join();
-    }
-    return;
-  }
   std::vector<bool> alive(static_cast<size_t>(config.threads), true);
   bool any_alive = true;
   while (any_alive) {
@@ -110,13 +92,13 @@ std::vector<std::unique_ptr<pmsim::ThreadContext>> MakeContexts(kvindex::Runtime
   return ctxs;
 }
 
-// Appends a checker's section to the run's trace dump (when one was written)
-// and prints its summary to stderr: totals, `stats` (the checker's own
-// one-line stats), then one line per class that fired.
-void ReportCheck(const std::string& label, const std::string& trace_dump_path,
+// Appends a checker's section to the run's dump (when one was written) and
+// prints its summary to stderr: totals, `stats` (the checker's own one-line
+// stats), then one line per class that fired.
+void ReportCheck(const std::string& label, const std::string& dump_path,
                  const pmsim::CheckSection& section, const std::string& stats) {
-  if (!trace_dump_path.empty()) {
-    pmsim::AppendCheckSection(trace_dump_path, section);
+  if (!dump_path.empty()) {
+    pmsim::AppendCheckSection(dump_path, section);
   }
   const char* name = section.checker.c_str();
   std::fprintf(stderr, "%s[%s]: %llu violation(s), %llu informational, %llu suppressed, %s\n",
@@ -146,28 +128,7 @@ uint64_t WarmKey(const RunConfig& config, uint64_t i) {
 RunResult RunWorkload(kvindex::Runtime& runtime, kvindex::KvIndex& index,
                       const RunConfig& config) {
   assert(config.threads >= 1);
-  // Sequential-only features requested under os_parallel would be dropped on
-  // the floor below (a shared op counter / epoch snapshot would race across
-  // real threads). Fail loudly instead of ignoring the user's config: one
-  // warning per dropped feature, surfaced in RunResult::warnings and on
-  // stderr.
-  std::vector<std::string> warnings;
-  if (config.os_parallel && config.gc_epoch_ops != 0) {
-    warnings.emplace_back(
-        "gc_epoch_ops ignored: driver-paced GC requires sequential "
-        "scheduling (os_parallel=true races the shared op counter)");
-  }
-  const bool metrics_dump = !env::Get().metrics_prefix.empty();  // CCL_METRICS
-  if (config.os_parallel && (config.metrics || metrics_dump) && config.ops > 0) {
-    warnings.emplace_back(
-        "metrics epoch series not collected: virtual-time epochs require "
-        "sequential scheduling (os_parallel=true); only end-of-run totals "
-        "are reported");
-  }
-  for (const std::string& w : warnings) {
-    std::fprintf(stderr, "driver[%s]: WARNING: %s\n",
-                 config.trace_label.empty() ? "run" : config.trace_label.c_str(), w.c_str());
-  }
+  const bool dump = !env::Get().dump_prefix.empty();  // CCL_DUMP
   if (config.preset_keys != nullptr) {
     assert(config.preset_keys->size() >= config.warm_keys + config.ops);
   }
@@ -209,7 +170,7 @@ RunResult RunWorkload(kvindex::Runtime& runtime, kvindex::KvIndex& index,
   // pmtrace: event tracing covers the measurement phase only. Rings are
   // cleared first so a dump shows this phase, not the warm-up; contexts
   // created below pick up rings because tracing is already enabled.
-  const bool tracing = !env::Get().trace_prefix.empty();  // CCL_TRACE
+  const bool tracing = env::Get().trace;  // CCL_TRACE=1 (implies CCL_DUMP)
   if (tracing) {
     trace::ClearRings();
     trace::SetEnabled(true);
@@ -219,7 +180,7 @@ RunResult RunWorkload(kvindex::Runtime& runtime, kvindex::KvIndex& index,
   }
   // Metrics registry: covers the measurement phase only (Reset after warm).
   // CPU-side by construction — enabling it cannot move a virtual metric.
-  const bool metrics_on = config.metrics || config.collect_latency || metrics_dump;
+  const bool metrics_on = config.metrics || config.collect_latency || dump;
   if (metrics_on) {
     metrics::Reset();
     metrics::SetEnabled(true);
@@ -349,15 +310,11 @@ RunResult RunWorkload(kvindex::Runtime& runtime, kvindex::KvIndex& index,
     }
   };
 
-  // Driver-paced GC epochs (gc_epoch_ops): sequential scheduling only — the
-  // shared counter below would race under os_parallel.
-  const uint64_t gc_epoch_ops = config.os_parallel ? 0 : config.gc_epoch_ops;
+  // Driver-paced GC epochs (gc_epoch_ops), counted across all workers.
   uint64_t gc_epoch_counter = 0;
 
-  // Metrics virtual-time epochs: sequential scheduling only (samples from
-  // concurrent OS threads would interleave nondeterministically).
   std::optional<EpochRecorder> epochs;
-  if (metrics_on && !config.os_parallel && config.ops > 0) {
+  if (metrics_on && config.ops > 0) {
     epochs.emplace(runtime.device(), before, [&](Gauges* g) { index.SampleGauges(g); });
   }
 
@@ -368,7 +325,7 @@ RunResult RunWorkload(kvindex::Runtime& runtime, kvindex::KvIndex& index,
       uint64_t end = std::min(st.limit, st.cursor + kSliceOps);
       for (; st.cursor < end; st.cursor++) {
         run_one(st, st.cursor);
-        if (gc_epoch_ops != 0 && ++gc_epoch_counter % gc_epoch_ops == 0) {
+        if (config.gc_epoch_ops != 0 && ++gc_epoch_counter % config.gc_epoch_ops == 0) {
           index.GcTick();
         }
         if (epochs) {
@@ -384,7 +341,6 @@ RunResult RunWorkload(kvindex::Runtime& runtime, kvindex::KvIndex& index,
   }
 
   RunResult result;
-  result.warnings = std::move(warnings);
   uint64_t busy_ns = runtime.device().MaxDimmBusyNs();
   uint64_t worker_ns = 0;
   for (const auto& st : states) {
@@ -418,12 +374,6 @@ RunResult RunWorkload(kvindex::Runtime& runtime, kvindex::KvIndex& index,
       result.latency.Merge(result.metrics_snapshot.op_virtual[k]);
     }
   }
-  if (metrics_dump) {
-    result.metrics_dump_path = WriteMetricsDump(
-        config.trace_label.empty() ? "run" : config.trace_label, runtime.device(),
-        static_cast<uint64_t>(config.threads), config.ops, result.epochs,
-        result.metrics_snapshot, elapsed_ns);
-  }
   result.footprint = index.Footprint();
   if (pmsim::PmCheck* check = runtime.device().pmcheck(); check != nullptr) {
     result.pmcheck = check->Snapshot();
@@ -432,10 +382,13 @@ RunResult RunWorkload(kvindex::Runtime& runtime, kvindex::KvIndex& index,
     result.lockcheck = locks->Snapshot();
   }
 
+  if (dump) {
+    result.dump_path = WriteRunDump(config.trace_label.empty() ? "run" : config.trace_label,
+                                    runtime.device(), static_cast<uint64_t>(config.threads),
+                                    config.ops, elapsed_ns, result.stats, result.epochs,
+                                    result.metrics_snapshot);
+  }
   if (tracing) {
-    result.trace_dump_path =
-        WriteTraceDump(runtime, config.trace_label.empty() ? "run" : config.trace_label,
-                       result.stats, result.elapsed_virtual_ms);
     trace::SetEnabled(false);
     trace::ClearRings();
   }
@@ -449,9 +402,9 @@ RunResult RunIndexWorkload(const std::string& index_name, const RunConfig& confi
                            const IndexConfig& index_config, size_t pool_bytes) {
   kvindex::RuntimeOptions runtime_options;
   runtime_options.device.pool_bytes = pool_bytes;
-  // When a trace dump is requested, also record the per-XPLine heatmap (the
+  // Under CCL_TRACE=1 the dump also carries the per-XPLine heatmap (the
   // counters only exist when enabled at device construction).
-  runtime_options.device.record_unit_heatmap = !env::Get().trace_prefix.empty();
+  runtime_options.device.record_unit_heatmap = env::Get().trace;
   runtime_options.device.backend = config.backend;
   kvindex::Runtime runtime(runtime_options);
   auto index = MakeIndex(index_name, runtime, index_config);
@@ -467,12 +420,12 @@ RunResult RunIndexWorkload(const std::string& index_name, const RunConfig& confi
     // charged (determinism contract, DESIGN.md §10).
     runtime.device().DrainBuffers();
     result.pmcheck = check->Snapshot();
-    ReportCheck(label, result.trace_dump_path, result.pmcheck.ToSection(),
+    ReportCheck(label, result.dump_path, result.pmcheck.ToSection(),
                 std::to_string(result.pmcheck.fence_epochs) + " fence epochs");
   }
   if (pmsim::LockCheck* locks = runtime.device().lockcheck(); locks != nullptr) {
     result.lockcheck = locks->Snapshot();
-    ReportCheck(label, result.trace_dump_path, result.lockcheck.ToSection(),
+    ReportCheck(label, result.dump_path, result.lockcheck.ToSection(),
                 std::to_string(result.lockcheck.locks_tracked) + " locks / " +
                     std::to_string(result.lockcheck.lines_tracked) + " lines tracked");
   }

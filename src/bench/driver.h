@@ -1,7 +1,7 @@
-// Workload driver shared by every benchmark binary: spawns worker threads
-// with per-thread virtual clocks, runs warm-up + measurement phases, and
-// reports modeled throughput, amplification counters and latency
-// percentiles.
+// Workload driver shared by every benchmark binary: interleaves logical
+// workers, each with its own virtual clock, on the calling OS thread, runs
+// warm-up + measurement phases, and reports modeled throughput,
+// amplification counters and latency percentiles.
 //
 // Timing model: a run's modeled elapsed time is
 //     max( max over workers of their virtual clock ,
@@ -23,7 +23,8 @@
 #include "src/kvindex/kv_index.h"
 #include "src/kvindex/runtime.h"
 #include "src/metrics/histogram.h"
-#include "src/metrics/pmmetrics.h"
+#include "src/metrics/metrics.h"
+#include "src/metrics/pmdump.h"
 #include "src/pmsim/lockcheck.h"
 #include "src/pmsim/pmcheck.h"
 #include "src/trace/component.h"
@@ -31,6 +32,11 @@
 namespace cclbt::bench {
 
 struct RunConfig {
+  // Logical workers. They run round-robin on the calling OS thread, so the
+  // same RunConfig yields bit-identical virtual-time metrics run after run —
+  // including indexes with background GC under GcScheduling::kDeterministic
+  // (the default; DESIGN.md §10). Real-thread concurrency is covered by the
+  // test suite, not by the driver.
   int threads = 48;
   // Distinct keys loaded before measurement (the paper warms with 50 M).
   uint64_t warm_keys = 1'000'000;
@@ -46,21 +52,20 @@ struct RunConfig {
   bool collect_latency = false;
   // Enable the metrics registry (src/metrics) for the measurement phase:
   // per-op-kind latency histograms in virtual AND wall time, registry
-  // counters, and — under sequential scheduling — the virtual-time-epoch
-  // series in RunResult::epochs (windowed XBI/CLI, media bytes by component,
-  // latency percentiles, XPBuffer/GC gauges). Also switched on by the
-  // CCL_METRICS environment variable, which additionally dumps a .pmmetrics
-  // file (see src/bench/metrics_dump.h). Epoch records are virtual-time-only
-  // and bit-identical run-to-run for a deterministic config; the registry is
-  // CPU-side only, so enabling it never shifts a virtual metric.
-  // Epochs are kMetricsEpochNs wide (src/bench/metrics_dump.h); under
-  // os_parallel only the end-of-run totals are collected.
+  // counters, and the virtual-time-epoch series in RunResult::epochs
+  // (windowed XBI/CLI, media bytes by component, latency percentiles,
+  // XPBuffer/GC gauges). Also switched on by the CCL_DUMP environment
+  // variable, which additionally writes the run's .pmdump (see
+  // src/bench/run_dump.h). Epoch records are virtual-time-only and
+  // bit-identical run-to-run for a deterministic config; the registry is
+  // CPU-side only, so enabling it never shifts a virtual metric. Epochs are
+  // kMetricsEpochNs wide (src/bench/run_dump.h).
   bool metrics = false;
   // Additionally break per-op latency down by trace::Component (enables
   // trace scope timing for the measurement phase; implies collect_latency
   // semantics for the component histograms only).
   bool collect_component_latency = false;
-  // Label stamped into the .pmtrace dump written when CCL_TRACE is set
+  // Label stamped into the .pmdump written when CCL_DUMP is set
   // (RunIndexWorkload defaults it to the index name).
   std::string trace_label;
   // Values larger than 8 B go through ValueStore indirection; the stored
@@ -74,25 +79,10 @@ struct RunConfig {
   uint64_t seed = 99;
   // Additionally call KvIndex::GcTick() every gc_epoch_ops-th measured op
   // (0 = off), pinning background-GC rounds to explicit virtual-time epochs
-  // of the driver instead of the index's own cooperative quantum. Sequential
-  // scheduling only; ignored under os_parallel (a shared op counter would
-  // race). Useful for read-heavy mixes whose sparse upserts would starve the
-  // index-side quantum.
+  // of the driver instead of the index's own cooperative quantum. Useful for
+  // read-heavy mixes whose sparse upserts would starve the index-side
+  // quantum.
   uint64_t gc_epoch_ops = 0;
-  // Execute the logical workers on real OS threads. Sequential execution
-  // (the default) is fully deterministic: the same RunConfig yields
-  // bit-identical virtual-time metrics run after run — including indexes
-  // with background GC, which runs at deterministic virtual-time points
-  // under GcScheduling::kDeterministic (the default; see DESIGN.md §10).
-  // The only escape from the contract is TreeOptions::gc_scheduling =
-  // kOsThread, which reintroduces a free-running GC thread for concurrency
-  // stress. With one worker, os_parallel on/off is also bit-identical. With
-  // several workers, os_parallel results differ slightly run-to-run:
-  // real-thread interleaving changes lock-acquisition order and XPBuffer LRU
-  // state, so eviction counts and queueing delays shift within noise.
-  // Concurrency correctness is covered by the test suite, which always uses
-  // real threads.
-  bool os_parallel = false;
   // Persistence-domain backend for the run's device (DESIGN.md §14). kAuto
   // resolves through the CCL_BACKEND environment selector, then defaults to
   // ADR/Optane. The checkers (pmcheck, lockcheck) are switched on for a
@@ -115,14 +105,11 @@ struct RunResult {
   // Registry totals for the measurement phase (zero unless metrics were on):
   // per-op-kind virtual/wall histograms and counters.
   metrics::MetricsSnapshot metrics_snapshot;
-  // Virtual-time-epoch series (empty unless metrics were on and the run was
-  // sequential). Deterministic: bit-identical run-to-run per DESIGN.md §10.
+  // Virtual-time-epoch series (empty unless metrics were on).
+  // Deterministic: bit-identical run-to-run per DESIGN.md §10.
   metrics::EpochSeries epochs;
-  // Path of the .pmmetrics dump written for this run ("" when CCL_METRICS
-  // unset).
-  std::string metrics_dump_path;
-  // Path of the .pmtrace dump written for this run ("" when CCL_TRACE unset).
-  std::string trace_dump_path;
+  // Path of the .pmdump written for this run ("" when CCL_DUMP is unset).
+  std::string dump_path;
   kvindex::MemoryFootprint footprint;
   // pmcheck report (enabled == false unless the checker ran). RunIndexWorkload
   // refreshes it after an end-of-run DrainBuffers so the unflushed-at-close
@@ -132,11 +119,6 @@ struct RunResult {
   // measurement end; the event stream keeps flowing until the runtime dies,
   // but counts only grow, so a clean snapshot of a finished run stays clean.
   pmsim::LockCheckReport lockcheck;
-  // Configuration the driver could not honor (e.g. gc_epoch_ops or the
-  // metrics epoch series under os_parallel, which are sequential-scheduling
-  // features). Each dropped request produces one entry here and one warning
-  // line on stderr — a set config is never ignored silently.
-  std::vector<std::string> warnings;
 };
 
 // Loads `config.warm_keys` distinct keys (or the preset set), then runs the

@@ -1,11 +1,11 @@
-// The virtual-time epoch series of a measured phase and its .pmmetrics dump
-// (src/metrics/pmmetrics.h) — the JSON-lines time-series companion to the
-// .pmtrace dump. The closed-loop driver and the sharded service both record
-// through EpochRecorder and write through WriteMetricsDump. A dump is
-// produced at the end of a measured phase when the CCL_METRICS environment
-// variable names a path prefix; consumed by `pmctl top` / `pmctl series`.
-#ifndef SRC_BENCH_METRICS_DUMP_H_
-#define SRC_BENCH_METRICS_DUMP_H_
+// What a measured phase records for its run dump (src/metrics/pmdump.h):
+// the virtual-time epoch series and the one .pmdump file. The closed-loop
+// driver and the sharded service both record through EpochRecorder and write
+// through WriteRunDump. A dump is produced at the end of a measured phase
+// when CCL_DUMP names a path prefix; CCL_TRACE=1 adds the event rings and the
+// XPLine heatmap. Read by every `pmctl` verb.
+#ifndef SRC_BENCH_RUN_DUMP_H_
+#define SRC_BENCH_RUN_DUMP_H_
 
 #include <cstdint>
 #include <functional>
@@ -14,7 +14,7 @@
 #include <vector>
 
 #include "src/metrics/metrics.h"
-#include "src/metrics/pmmetrics.h"
+#include "src/metrics/pmdump.h"
 #include "src/pmsim/device.h"
 
 namespace cclbt::bench {
@@ -27,8 +27,8 @@ using Gauges = std::vector<std::pair<std::string, uint64_t>>;
 
 // Snapshots windowed pmsim stats, metrics-registry counters and latency
 // percentiles each time the running clock crosses the next epoch boundary.
-// Sequential scheduling only: every field is virtual-time/count data, so the
-// series is bit-identical run-to-run for a deterministic config.
+// Every field is virtual-time/count data, so the series is bit-identical
+// run-to-run for a deterministic config.
 class EpochRecorder {
  public:
   // `start` is the device stats at the phase start, taken right after the
@@ -62,15 +62,19 @@ class EpochRecorder {
   metrics::MetricsSnapshot prev_metrics_;
 };
 
-// Writes "<CCL_METRICS>.<seq>.<label>.pmmetrics" for one finished phase: the
-// header (label, `device`'s backend, `threads`, `ops`, name tables), the
-// epoch series and the summary of the registry `totals`. seq is a
-// process-wide counter, so a bench binary that runs many indexes produces
-// distinct files. Returns the path written, or "" on failure/unset prefix.
-std::string WriteMetricsDump(const std::string& label, const pmsim::PmDevice& device,
-                             uint64_t threads, uint64_t ops, const metrics::EpochSeries& epochs,
-                             const metrics::MetricsSnapshot& totals, uint64_t elapsed_virtual_ns);
+// Writes "<CCL_DUMP>.<seq>.<label>.pmdump" for one finished phase: `device`'s
+// config, `threads`, `ops` and `elapsed_virtual_ns`, the phase's `stats`
+// delta, the epoch series and the summary of the registry `totals`; plus the
+// XPLine heatmap when `device` records one and the event rings while tracing
+// is on (CCL_TRACE=1). seq is a process-wide counter, so a bench binary that
+// runs many indexes produces distinct files. Checked runs append their
+// sections afterwards (pmsim::AppendCheckSection). Returns the path written,
+// or "" when CCL_DUMP is unset or the write fails.
+std::string WriteRunDump(const std::string& label, const pmsim::PmDevice& device,
+                         uint64_t threads, uint64_t ops, uint64_t elapsed_virtual_ns,
+                         const pmsim::StatsSnapshot& stats, const metrics::EpochSeries& epochs,
+                         const metrics::MetricsSnapshot& totals);
 
 }  // namespace cclbt::bench
 
-#endif  // SRC_BENCH_METRICS_DUMP_H_
+#endif  // SRC_BENCH_RUN_DUMP_H_

@@ -54,12 +54,6 @@ ParseResult Parse(const Lookup& lookup) {
   auto flag = [](bool* out) {
     return [out](std::string_view v) { return Choose<bool>(v, {{"0", false}, {"1", true}}, out); };
   };
-  auto path_prefix = [](std::string* out) {
-    return [out](std::string_view v) {
-      *out = v;
-      return true;
-    };
-  };
   parse("CCL_BACKEND", "adr | adr_optane | eadr | cxl | cxlmem", [&s](std::string_view v) {
     return Choose<Backend>(v,
                            {{"adr", Backend::kAdr},
@@ -83,10 +77,25 @@ ParseResult Parse(const Lookup& lookup) {
     return Choose<int>(v, {{"off", 0}, {"scalar", 0}, {"0", 0}, {"sse2", 1}, {"avx2", 2}},
                        &s.simd_level);
   });
-  parse("CCL_TRACE", "a path prefix", path_prefix(&s.trace_prefix));
-  parse("CCL_METRICS", "a path prefix", path_prefix(&s.metrics_prefix));
+  parse("CCL_TRACE", "0 | 1", flag(&s.trace));
+  parse("CCL_DUMP", "a path prefix", [&s](std::string_view v) {
+    s.dump_prefix = v;
+    return true;
+  });
   parse("CCL_BENCH_SCALE", "a positive decimal integer",
         [&s](std::string_view v) { return ParsePositive(v, &s.bench_scale); });
+  // The retired CCL_METRICS is looked up only to be refused: its dump is now
+  // the epoch section of the CCL_DUMP file.
+  if (const char* metrics = lookup("CCL_METRICS");
+      result.error.empty() && metrics != nullptr && metrics[0] != '\0') {
+    result.error = std::string("CCL_METRICS=\"") + metrics +
+                   "\" is retired; set CCL_DUMP=<prefix> instead (one .pmdump per run)";
+  }
+  if (result.error.empty() && s.trace && s.dump_prefix.empty()) {
+    result.error =
+        "CCL_TRACE=1 needs CCL_DUMP=<prefix>: the event rings and heatmap are written into "
+        "the run's .pmdump";
+  }
   return result;
 }
 

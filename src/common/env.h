@@ -9,7 +9,9 @@
 // default; otherwise the built-in default applies.
 //
 // Grammar: an empty value means unset. A malformed value is a hard error
-// naming the variable and the values it accepts, never a silent default.
+// naming the variable and the values it accepts, never a silent default. So
+// is a combination that would silently do nothing: CCL_TRACE=1 without
+// CCL_DUMP, and the retired CCL_METRICS (replaced by CCL_DUMP).
 #ifndef SRC_COMMON_ENV_H_
 #define SRC_COMMON_ENV_H_
 
@@ -30,8 +32,8 @@ struct Snapshot {
   bool pmcheck = false;               // CCL_PMCHECK
   bool lockcheck = false;             // CCL_LOCKCHECK
   int simd_level = -1;                // CCL_SIMD: a simd::Level value, -1 = detect
-  std::string trace_prefix;           // CCL_TRACE: .pmtrace path prefix, "" = no dump
-  std::string metrics_prefix;         // CCL_METRICS: .pmmetrics path prefix, "" = no dump
+  bool trace = false;                 // CCL_TRACE: event rings + heatmap in the dump
+  std::string dump_prefix;            // CCL_DUMP: .pmdump path prefix, "" = no dump
   uint64_t bench_scale = 0;           // CCL_BENCH_SCALE: 0 = each bench's default
 };
 

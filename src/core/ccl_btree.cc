@@ -1,7 +1,6 @@
 #include "src/core/ccl_btree.h"
 
 #include <algorithm>
-#include <cstdio>
 #include <cassert>
 #include <cstring>
 #include <map>
@@ -1298,34 +1297,6 @@ kvindex::MemoryFootprint CclBTree::Footprint() const {
       live_bn_count_.load(std::memory_order_relaxed) * BufferNode::PackedBytes(options_.nbatch);
   footprint.pm_bytes = rt_.pool().AllocatedBytes();
   return footprint;
-}
-
-void CclBTree::DumpKeyState(uint64_t key) const {
-  bool found = false;
-  BufferNode* bn = inner_.RouteFloor(key, &found);
-  if (!found) {
-    std::fprintf(stderr, "[dump] no route for key %llu\n", (unsigned long long)key);
-    return;
-  }
-  std::fprintf(stderr, "[dump] key=%llu bn=%p sep=%llu pos=%d dead=%d\n", (unsigned long long)key,
-               static_cast<void*>(bn), (unsigned long long)bn->sep(), bn->pos(), bn->dead());
-  for (int i = 0; i < bn->nbatch(); i++) {
-    std::fprintf(stderr, "[dump]   slot[%d] key=%llu value=%llu epoch=%u\n", i,
-                 (unsigned long long)bn->slots()[i].key.load(),
-                 (unsigned long long)bn->slots()[i].value.load(), bn->EpochBit(i));
-  }
-  const PmLeaf* leaf = bn->leaf();
-  std::fprintf(stderr, "[dump]   leaf=%llu ts=%llu bitmap=%llx\n",
-               (unsigned long long)LeafOffset(leaf), (unsigned long long)leaf->timestamp,
-               (unsigned long long)leaf->bitmap());
-  for (int slot = 0; slot < kLeafSlots; slot++) {
-    if (leaf->SlotValid(slot)) {
-      std::fprintf(stderr, "[dump]   leaf_slot[%d] key=%llu value=%llu fp=%u (want_fp=%u)\n", slot,
-                   (unsigned long long)leaf->kvs[slot].key,
-                   (unsigned long long)leaf->kvs[slot].value, leaf->fingerprints[slot],
-                   Fingerprint8(leaf->kvs[slot].key));
-    }
-  }
 }
 
 bool CclBTree::CheckInvariants() const {

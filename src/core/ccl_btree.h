@@ -115,10 +115,6 @@ class CclBTree : public kvindex::KvIndex {
   // (ordering between leaves, bitmap/fingerprint agreement). Test hook.
   bool CheckInvariants() const;
 
-  // Prints the buffer-node and leaf state covering `key` to stderr. Debug
-  // aid for tests; not thread-safe with concurrent writers.
-  void DumpKeyState(uint64_t key) const;
-
  private:
   struct TreeRoot {  // persistent root record (pool app-root slot
                      // TreeOptions::root_slot, default 0)

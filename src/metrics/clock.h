@@ -7,8 +7,8 @@
 // virtual AND wall time so modeled and host behaviour can be compared. All
 // wall reads in metrics recording go through WallNowNs() here; lint R6
 // forbids direct clock reads anywhere else in src/metrics/, and everything
-// derived from wall time is quarantined into the .pmmetrics summary record,
-// never the deterministic epoch series.
+// derived from wall time is quarantined into the `wall` records of the
+// .pmdump (src/metrics/pmdump.h), never the deterministic epoch series.
 #ifndef SRC_METRICS_CLOCK_H_
 #define SRC_METRICS_CLOCK_H_
 

@@ -8,10 +8,11 @@ namespace cclbt::pmsim {
 namespace {
 
 // The rest of `in` after its current position, minus the separating space
-// ("" at end of line).
+// ("" at end of line). std::ws on a stream already at its end would set
+// failbit, so it is only applied before the end.
 std::string Rest(std::istringstream& in) {
   std::string rest;
-  if (in >> std::ws; !in.eof()) {
+  if (!in.eof() && !(in >> std::ws).eof()) {
     std::getline(in, rest);
   }
   return rest;
@@ -56,11 +57,7 @@ int CheckVerdict(const CheckSection* section) {
   return section->total() == 0 ? 0 : 3;
 }
 
-bool AppendCheckSection(const std::string& path, const CheckSection& s) {
-  std::ofstream out(path, std::ios::app);
-  if (!out) {
-    return false;
-  }
+void WriteCheckSection(std::ostream& out, const CheckSection& s) {
   const std::string& c = s.checker;
   out << "check " << c << "\n";
   for (const auto& [name, value] : s.stats) {
@@ -81,6 +78,14 @@ bool AppendCheckSection(const std::string& path, const CheckSection& s) {
       out << "\n";
     }
   }
+}
+
+bool AppendCheckSection(const std::string& path, const CheckSection& s) {
+  std::ofstream out(path, std::ios::app);
+  if (!out) {
+    return false;
+  }
+  WriteCheckSection(out, s);
   out.flush();
   return static_cast<bool>(out);
 }

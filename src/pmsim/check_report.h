@@ -2,7 +2,7 @@
 // §11) and lockcheck (§16). Both checkers count findings per class, whitelist
 // intentional exceptions with a scoped Expect, materialize a capped list of
 // diagnostics that each carry the tail of a recent-event ring, and append one
-// section to the .pmtrace dump. All of that lives here once; a checker adds
+// section to the run's .pmdump (src/metrics/pmdump.h). All of that lives here once; a checker adds
 // only its class enum, its per-diagnostic location fields and its stats.
 //
 // Retention rule: at most kMaxCheckDiagnostics violations and
@@ -12,7 +12,7 @@
 // clean-and-complete); a dropped informational finding does not, because
 // info never gates a verdict.
 //
-// Dump section grammar (inside a `pmtrace 2` dump, DESIGN.md §8). Every line
+// Dump section grammar (inside a `pmdump 1` dump, DESIGN.md §8). Every line
 // names its checker, so pmcheck and lockcheck sections share one reader:
 //
 //   check     <checker>
@@ -29,6 +29,7 @@
 #include <array>
 #include <cstddef>
 #include <cstdint>
+#include <ostream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -88,8 +89,11 @@ struct CheckSection {
 // Informational findings never gate it.
 int CheckVerdict(const CheckSection* section);
 
-// Writer: appends `section` to the dump at `path`. Returns false if the
-// file cannot be written.
+// Writer: `section` as its dump lines.
+void WriteCheckSection(std::ostream& out, const CheckSection& section);
+
+// Appends `section` to the dump at `path`. Returns false if the file cannot
+// be written.
 bool AppendCheckSection(const std::string& path, const CheckSection& section);
 
 // Reader: feed it every line of a dump. Section lines are parsed into

@@ -95,7 +95,7 @@ enum class LockCheckClass : uint8_t {
 
 inline constexpr int kNumLockCheckClasses = static_cast<int>(LockCheckClass::kCount);
 
-// Stable slug used in .pmtrace dumps and `pmctl locks` output.
+// Stable slug used in .pmdump files and `pmctl locks` output.
 const char* CheckClassName(LockCheckClass cls);
 
 // One entry of the recent-event ring attached to every diagnostic. Hot spin

@@ -34,7 +34,7 @@
 //
 // Diagnostics carry the active trace::Component, fence epoch, DIMM/XPLine
 // address, and a short ring of recent events; `pmctl check` prints attributed
-// reports from a .pmtrace dump and exits nonzero on violations.
+// reports from a .pmdump and exits nonzero on violations.
 //
 // Enablement and cost: DeviceConfig::pmcheck, or CCL_PMCHECK=1 for every
 // device whose config leaves it off (src/common/env.h). Disabled cost follows the PR 2 playbook — one gate
@@ -84,7 +84,7 @@ enum class PmCheckClass : uint8_t {
 
 inline constexpr int kNumPmCheckClasses = static_cast<int>(PmCheckClass::kCount);
 
-// Stable slug used in .pmtrace dumps and pmctl check output.
+// Stable slug used in .pmdump files and pmctl check output.
 const char* CheckClassName(PmCheckClass cls);
 
 // Severity of one diagnostic class on one persistence backend. The table is

@@ -5,7 +5,7 @@
 #include <string>
 #include <utility>
 
-#include "src/bench/metrics_dump.h"
+#include "src/bench/run_dump.h"
 #include "src/metrics/metrics.h"
 #include "src/pmsim/thread_context.h"
 
@@ -246,10 +246,10 @@ ServiceResult ShardedKvService::Run(const OpenLoopConfig& workload) {
   result.xbi_amplification = result.stats.XbiAmplification();
   result.metrics_snapshot = metrics::Snapshot();
   metrics::SetEnabled(false);
-  result.metrics_dump_path = bench::WriteMetricsDump(
+  result.dump_path = bench::WriteRunDump(
       config_.label.empty() ? "service" : config_.label, rt_.device(),
-      static_cast<uint64_t>(config_.shards), workload.ops, result.epochs,
-      result.metrics_snapshot, elapsed_ns);
+      static_cast<uint64_t>(config_.shards), workload.ops, elapsed_ns, result.stats,
+      result.epochs, result.metrics_snapshot);
   return result;
 }
 

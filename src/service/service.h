@@ -42,7 +42,7 @@
 #include "src/kvindex/kv_index.h"
 #include "src/kvindex/runtime.h"
 #include "src/metrics/metrics.h"
-#include "src/metrics/pmmetrics.h"
+#include "src/metrics/pmdump.h"
 #include "src/pmsim/device.h"
 #include "src/service/workload.h"
 
@@ -102,7 +102,7 @@ struct ServiceResult {
   metrics::MetricsSnapshot metrics_snapshot;
   metrics::EpochSeries epochs;  // deterministic per-epoch series
   std::vector<ShardStats> shards;
-  std::string metrics_dump_path;  // "" unless CCL_METRICS was set
+  std::string dump_path;  // the run's .pmdump, "" unless CCL_DUMP was set
 };
 
 class ShardedKvService {

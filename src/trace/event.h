@@ -1,6 +1,6 @@
 // Trace event record for pmtrace. 24 bytes, fixed layout, written into
-// per-ThreadContext ring buffers (see trace.h) and exported to the .pmtrace
-// dump / Chrome trace-event JSON (exporters.h).
+// per-ThreadContext ring buffers (see trace.h) and exported to the run's
+// .pmdump / Chrome trace-event JSON (exporters.h).
 #ifndef SRC_TRACE_EVENT_H_
 #define SRC_TRACE_EVENT_H_
 

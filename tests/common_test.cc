@@ -230,8 +230,8 @@ TEST(Env, UnsetEnvironmentGivesBuiltInDefaults) {
   EXPECT_FALSE(s.pmcheck);
   EXPECT_FALSE(s.lockcheck);
   EXPECT_EQ(s.simd_level, -1);
-  EXPECT_EQ(s.trace_prefix, "");
-  EXPECT_EQ(s.metrics_prefix, "");
+  EXPECT_FALSE(s.trace);
+  EXPECT_EQ(s.dump_prefix, "");
   EXPECT_EQ(s.bench_scale, 0u);
 }
 
@@ -242,13 +242,15 @@ TEST(Env, EmptyValueMeansUnset) {
                                       {"CCL_LOCKCHECK", ""},
                                       {"CCL_SIMD", ""},
                                       {"CCL_TRACE", ""},
+                                      {"CCL_DUMP", ""},
                                       {"CCL_METRICS", ""},
                                       {"CCL_BENCH_SCALE", ""}});
   EXPECT_EQ(parsed.error, "");
-  // An empty CCL_TRACE / CCL_METRICS requests no dump (and so no tracing or
-  // metrics collection) rather than a dump with an empty path.
-  EXPECT_EQ(parsed.snapshot.trace_prefix, "");
-  EXPECT_EQ(parsed.snapshot.metrics_prefix, "");
+  // An empty CCL_DUMP requests no dump (and so no metrics collection) rather
+  // than a dump with an empty path; an empty CCL_TRACE no tracing; and an
+  // empty retired CCL_METRICS is not an error.
+  EXPECT_FALSE(parsed.snapshot.trace);
+  EXPECT_EQ(parsed.snapshot.dump_prefix, "");
   EXPECT_EQ(parsed.snapshot.backend, env::Backend::kUnset);
   EXPECT_EQ(parsed.snapshot.bench_scale, 0u);
 }
@@ -259,8 +261,8 @@ TEST(Env, ParsesEveryVariable) {
                                       {"CCL_PMCHECK", "1"},
                                       {"CCL_LOCKCHECK", "1"},
                                       {"CCL_SIMD", "sse2"},
-                                      {"CCL_TRACE", "/tmp/t"},
-                                      {"CCL_METRICS", "/tmp/m"},
+                                      {"CCL_TRACE", "1"},
+                                      {"CCL_DUMP", "/tmp/d"},
                                       {"CCL_BENCH_SCALE", "60000"}});
   ASSERT_EQ(parsed.error, "");
   const env::Snapshot& s = parsed.snapshot;
@@ -269,8 +271,8 @@ TEST(Env, ParsesEveryVariable) {
   EXPECT_TRUE(s.pmcheck);
   EXPECT_TRUE(s.lockcheck);
   EXPECT_EQ(s.simd_level, 1);
-  EXPECT_EQ(s.trace_prefix, "/tmp/t");
-  EXPECT_EQ(s.metrics_prefix, "/tmp/m");
+  EXPECT_TRUE(s.trace);
+  EXPECT_EQ(s.dump_prefix, "/tmp/d");
   EXPECT_EQ(s.bench_scale, 60000u);
 
   EXPECT_EQ(ParseEnv({{"CCL_BACKEND", "adr"}}).snapshot.backend, env::Backend::kAdr);
@@ -278,6 +280,7 @@ TEST(Env, ParsesEveryVariable) {
   EXPECT_EQ(ParseEnv({{"CCL_BACKEND", "eadr"}}).snapshot.backend, env::Backend::kEadr);
   EXPECT_EQ(ParseEnv({{"CCL_BACKEND", "cxlmem"}}).snapshot.backend, env::Backend::kCxl);
   EXPECT_FALSE(ParseEnv({{"CCL_PMCHECK", "0"}}).snapshot.pmcheck);
+  EXPECT_FALSE(ParseEnv({{"CCL_TRACE", "0"}}).snapshot.trace);
   EXPECT_EQ(ParseEnv({{"CCL_CXL_PAGE", "256"}}).snapshot.cxl_page, 256u);
   EXPECT_EQ(ParseEnv({{"CCL_BENCH_SCALE", "18446744073709551615"}}).snapshot.bench_scale,
             UINT64_MAX);
@@ -310,6 +313,28 @@ TEST(Env, MalformedValueIsAnErrorNamingVariableAndAcceptedValues) {
     EXPECT_NE(parsed.error.find(c.value), std::string::npos) << parsed.error;
     EXPECT_NE(parsed.error.find(c.accepted), std::string::npos) << parsed.error;
   }
+}
+
+// CCL_TRACE is a 0|1 flag: the old path-prefix form is malformed.
+TEST(Env, TracePathPrefixIsRejected) {
+  env::ParseResult parsed = ParseEnv({{"CCL_TRACE", "/tmp/t"}, {"CCL_DUMP", "/tmp/d"}});
+  EXPECT_NE(parsed.error.find("CCL_TRACE=\"/tmp/t\""), std::string::npos) << parsed.error;
+  EXPECT_NE(parsed.error.find("0 | 1"), std::string::npos) << parsed.error;
+}
+
+// CCL_TRACE=1 alone would trace and then write nothing.
+TEST(Env, TraceWithoutDumpIsAnError) {
+  env::ParseResult parsed = ParseEnv({{"CCL_TRACE", "1"}});
+  EXPECT_NE(parsed.error.find("CCL_TRACE=1"), std::string::npos) << parsed.error;
+  EXPECT_NE(parsed.error.find("CCL_DUMP"), std::string::npos) << parsed.error;
+}
+
+// The retired CCL_METRICS is refused with a pointer to its replacement, even
+// next to a valid CCL_DUMP.
+TEST(Env, RetiredMetricsVariableNamesItsReplacement) {
+  env::ParseResult parsed = ParseEnv({{"CCL_METRICS", "/tmp/m"}, {"CCL_DUMP", "/tmp/d"}});
+  EXPECT_NE(parsed.error.find("CCL_METRICS=\"/tmp/m\""), std::string::npos) << parsed.error;
+  EXPECT_NE(parsed.error.find("CCL_DUMP"), std::string::npos) << parsed.error;
 }
 
 }  // namespace

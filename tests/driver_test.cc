@@ -120,38 +120,6 @@ TEST(Driver, YcsbMixRunsAllOpTypes) {
   EXPECT_NEAR(writes / static_cast<double>(config.ops), 0.75, 0.05);
 }
 
-TEST(Driver, OsParallelModeProducesSaneResults) {
-  RunConfig config = SmallConfig();
-  config.threads = 4;
-  config.os_parallel = true;
-  RunResult result = RunIndexWorkload("cclbtree", config, QuietTree(), 1ULL << 30);
-  EXPECT_GT(result.mops, 0.0);
-  EXPECT_EQ(result.stats.user_bytes, config.ops * 16);
-}
-
-TEST(Driver, OsParallelWarnsOnDroppedSequentialFeatures) {
-  // gc_epoch_ops and the metrics epoch series both require sequential
-  // scheduling; requesting them under os_parallel used to be silently
-  // ignored. The run must now surface one diagnostic per dropped feature.
-  RunConfig config = SmallConfig();
-  config.threads = 4;
-  config.os_parallel = true;
-  config.gc_epoch_ops = 1'000;
-  config.metrics = true;
-  RunResult result = RunIndexWorkload("cclbtree", config, QuietTree(), 1ULL << 30);
-  ASSERT_EQ(result.warnings.size(), 2u);
-  EXPECT_NE(result.warnings[0].find("gc_epoch_ops"), std::string::npos);
-  EXPECT_NE(result.warnings[1].find("metrics epoch"), std::string::npos);
-  EXPECT_TRUE(result.epochs.empty());
-
-  // The same config sequentially is fully honored: no warnings, epochs
-  // collected.
-  config.os_parallel = false;
-  RunResult sequential = RunIndexWorkload("cclbtree", config, QuietTree(), 1ULL << 30);
-  EXPECT_TRUE(sequential.warnings.empty());
-  EXPECT_FALSE(sequential.epochs.empty());
-}
-
 TEST(Driver, PresetKeysDriveWarmAndMeasure) {
   std::vector<uint64_t> keys;
   for (uint64_t i = 1; i <= 40'000; i++) {

@@ -2,13 +2,14 @@
 // histogram (including the former src/common/histogram.h suite, migrated
 // here when the implementations were unified), shard-merge conservation
 // across real OS threads, the disabled-gate zero-registration contract, the
-// deterministic .pmmetrics epoch series (bit-identical across identical
-// RunConfigs, including with background GC), the per-epoch component-bytes
-// sum and window-tiling invariants for both the driver and the sharded
-// service, and the .pmmetrics serialize/parse round trip.
+// deterministic epoch series (bit-identical across identical RunConfigs,
+// including with background GC), the per-epoch component-bytes sum and
+// window-tiling invariants for both the driver and the sharded service, and
+// the .pmdump serialize/read round trip and reader rejections.
 #include <algorithm>
 #include <cstdint>
 #include <fstream>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -19,7 +20,7 @@
 #include "src/common/rng.h"
 #include "src/metrics/histogram.h"
 #include "src/metrics/metrics.h"
-#include "src/metrics/pmmetrics.h"
+#include "src/metrics/pmdump.h"
 #include "src/service/service.h"
 
 namespace cclbt {
@@ -286,7 +287,7 @@ bench::RunConfig MetricsConfig() {
   return config;
 }
 
-// The serialized epoch series is the deterministic payload of a .pmmetrics
+// The serialized epoch series is the deterministic payload of a .pmdump
 // file: identical RunConfigs must produce bit-identical bytes (DESIGN.md §10
 // extended to time-resolved metrics).
 TEST(MetricsEpochSeries, BitIdenticalAcrossRuns) {
@@ -376,7 +377,7 @@ TEST(MetricsEpochSeries, ServiceComponentSumsAndWindowTiling) {
   }
 }
 
-// A run without the metrics flag (and no CCL_METRICS / latency collection)
+// A run without the metrics flag (and no CCL_DUMP / latency collection)
 // produces no epoch series and no registry activity.
 TEST(MetricsEpochSeries, DisabledByDefault) {
   bench::IndexConfig index_config;
@@ -388,69 +389,148 @@ TEST(MetricsEpochSeries, DisabledByDefault) {
   EXPECT_EQ(result.metrics_snapshot.virt(metrics::OpKind::kUpsert).Count(), 0u);
 }
 
-// --- .pmmetrics: serialize/parse round trip ---------------------------------
+// --- .pmdump: serialize/read round trip and rejections ------------------------
 
-TEST(PmMetricsFormat, SerializeParseRoundTrip) {
-  metrics::PmMetricsFile file;
-  file.header.label = "round \"trip\"";  // exercises string escaping
-  file.header.epoch_ns = 1000000;
-  file.header.threads = 4;
-  file.header.ops = 20000;
+// A dump with every section filled: config, names, stats, two epochs with
+// gauges, virt/wall summaries, a heatmap, one event ring and both checkers'
+// sections.
+metrics::PmDump FullDump() {
+  metrics::PmDump d;
+  d.label = "round \"trip\"";  // not file-name safe: written sanitized
+  d.config = {"cxl", 1 << 30, 2, 4, 256, 1000000, 4, 20000, 1234567};
   for (int k = 0; k < metrics::kNumOpKinds; k++) {
-    file.header.op_kinds.push_back(metrics::OpKindName(static_cast<metrics::OpKind>(k)));
+    d.op_kinds.push_back(metrics::OpKindName(static_cast<metrics::OpKind>(k)));
+    d.virt.push_back({10, 100, 200, 300, 400 + static_cast<uint64_t>(k)});
+    d.wall.push_back({10, 90, 180, 270, 360});
   }
   for (int c = 0; c < metrics::kNumCounters; c++) {
-    file.header.counters.push_back(metrics::CounterName(static_cast<metrics::Counter>(c)));
+    d.counters.push_back(metrics::CounterName(static_cast<metrics::Counter>(c)));
   }
-  file.header.components = {"other", "wal", "leaf"};
+  d.components = {"other", "wal", "leaf"};
+  d.stats = {{"user_bytes", 160}, {"xpbuffer_write_bytes", 512}, {"media_write_bytes", 384}};
+  d.tags = {{"other", 1}, {"leaf", 2}, {"log", 3}};
+  d.comps = {{"other", 0, 0}, {"wal", 256, 4}, {"leaf", 128, 2}};
+  for (uint64_t i = 0; i < 2; i++) {
+    metrics::EpochRecord e;
+    e.index = i;
+    e.t_ns = 1000000 * (i + 1);
+    e.ops = {10, 2, 0, 0};
+    e.p50_ns = {100, 50, 0, 0};
+    e.p99_ns = {200, 60, 0, 0};
+    e.p999_ns = {300, 70, 0, 0};
+    e.user_bytes = 160;
+    e.xpbuffer_write_bytes = 512;
+    e.media_write_bytes = 384;
+    e.media_read_bytes = 256;
+    e.line_flushes = 8;
+    e.fences = 4;
+    e.comp_bytes = {0, 256, 128};
+    e.xpbuf_resident = 2;
+    e.xpbuf_insertions = 8 + i;
+    e.xpbuf_evictions = 6;
+    e.counters.assign(static_cast<size_t>(metrics::kNumCounters), 3);
+    e.gauges = {{"gc_rounds", 5 + i}, {"s0_queue_depth", 0}, {"leaf_bytes", 4096}};
+    d.epochs.push_back(e);
+  }
+  d.heat_units = 1024;
+  d.heat_per_bin = 2;
+  d.heat_bins = {{0, 2, 7, 1, 5}, {6, 2, 1, 6, 1}};
+  trace::NamedRing ring;
+  ring.worker_id = 3;
+  ring.socket = 1;
+  ring.emitted = 9;
+  trace::TraceEvent ev;
+  ev.t_ns = 42;
+  ev.arg = 4096;
+  ev.aux = 7;
+  ev.type = 2;
+  ev.comp = 1;
+  ev.dimm = 5;
+  ring.events = {ev, ev};
+  d.rings.push_back(ring);
+  pmsim::CheckSection pm;
+  pm.checker = "pmcheck";
+  pm.stats = {{"fence_epochs", 12}, {"diagnostics_truncated", 0}};
+  pm.classes = {{"redundant_flush", 1, 0, 0}, {"useless_fence", 0, 2, 1}};
+  pm.diagnostics = {{"redundant_flush", false, "leaf", 3, "clean_line", "line=0x40 dimm=1",
+                     {{"flush", "leaf", 3, "line=0x40"}, {"fence", "other", 3, ""}}}};
+  pmsim::CheckSection lk;
+  lk.checker = "lockcheck";
+  lk.stats = {{"locks_tracked", 4}, {"diagnostics_truncated", 0}};
+  lk.classes = {{"lock_cycle", 0, 0, 0}};
+  d.checks = {pm, lk};
+  return d;
+}
 
-  metrics::EpochRecord e;
-  e.index = 0;
-  e.t_ns = 1000000;
-  e.ops = {10, 2, 0, 0};
-  e.p50_ns = {100, 50, 0, 0};
-  e.p99_ns = {200, 60, 0, 0};
-  e.p999_ns = {300, 70, 0, 0};
-  e.user_bytes = 160;
-  e.xpbuffer_write_bytes = 512;
-  e.media_write_bytes = 384;
-  e.media_read_bytes = 256;
-  e.line_flushes = 8;
-  e.fences = 4;
-  e.comp_bytes = {0, 256, 128};
-  e.xpbuf_resident = 2;
-  e.xpbuf_insertions = 8;
-  e.xpbuf_evictions = 6;
-  e.counters.assign(static_cast<size_t>(metrics::kNumCounters), 3);
-  e.gauges = {{"gc_rounds", 5}, {"leaf_bytes", 4096}};
-  file.epochs.push_back(e);
+std::string Serialize(const metrics::PmDump& dump) {
+  std::ostringstream out;
+  metrics::WritePmDump(out, dump);
+  return out.str();
+}
 
-  file.has_summary = true;
-  file.summary.elapsed_virtual_ns = 1234567;
-  for (int k = 0; k < metrics::kNumOpKinds; k++) {
-    file.summary.virt.push_back({10, 100, 200, 300, 400});
-    file.summary.wall.push_back({10, 90, 180, 270, 360});
+std::string WriteTemp(const std::string& name, const std::string& text) {
+  std::string path = ::testing::TempDir() + "/" + name;
+  std::ofstream out(path);
+  out << text;
+  return path;
+}
+
+// Serialize -> read -> serialize is byte-identical over every section, and
+// the checker sections appended after the dump (as the driver appends them)
+// read back through the same reader.
+TEST(PmDumpFormat, SerializeParseRoundTrip) {
+  metrics::PmDump dump = FullDump();
+  metrics::PmDump unchecked = dump;
+  unchecked.checks.clear();
+  std::string path = WriteTemp("roundtrip.pmdump", Serialize(unchecked));
+  for (const pmsim::CheckSection& section : dump.checks) {
+    ASSERT_TRUE(pmsim::AppendCheckSection(path, section));
   }
 
-  std::string path = ::testing::TempDir() + "/roundtrip.pmmetrics";
-  {
-    std::ofstream out(path);
-    ASSERT_TRUE(out.good());
-    out << metrics::SerializeHeader(file.header) << metrics::SerializeEpochSeries(file.epochs)
-        << metrics::SerializeSummary(file.summary);
-  }
-
-  metrics::PmMetricsFile parsed;
+  metrics::PmDump parsed;
   std::string error;
-  ASSERT_TRUE(metrics::ReadPmMetricsFile(path, &parsed, &error)) << error;
-  EXPECT_EQ(metrics::SerializeHeader(parsed.header), metrics::SerializeHeader(file.header));
-  EXPECT_EQ(metrics::SerializeEpochSeries(parsed.epochs),
-            metrics::SerializeEpochSeries(file.epochs));
-  ASSERT_TRUE(parsed.has_summary);
-  EXPECT_EQ(metrics::SerializeSummary(parsed.summary), metrics::SerializeSummary(file.summary));
-
-  // The component-bytes sum invariant holds for the synthetic epoch too.
+  ASSERT_TRUE(metrics::ReadPmDump(path, &parsed, &error)) << error;
+  EXPECT_EQ(Serialize(parsed), Serialize(dump));
+  EXPECT_EQ(parsed.label, "round--trip-");
+  EXPECT_EQ(parsed.config.backend, "cxl");
+  EXPECT_EQ(parsed.config.elapsed_virtual_ns, 1234567u);
+  ASSERT_EQ(parsed.epochs.size(), 2u);
+  EXPECT_EQ(parsed.epochs[1].gauges, dump.epochs[1].gauges);
   EXPECT_EQ(parsed.epochs[0].ComponentBytesTotal(), parsed.epochs[0].media_write_bytes);
+  EXPECT_EQ(parsed.checks, dump.checks);
+  ASSERT_EQ(parsed.rings.size(), 1u);
+  EXPECT_EQ(parsed.rings[0].events.size(), 2u);
+  EXPECT_EQ(parsed.rings[0].events[1].dimm, 5u);
+  EXPECT_EQ(parsed.Stat("media_write_bytes"), 384u);
+}
+
+// `want` occurs in the reader's error for `text`, which names file and line.
+void ExpectRejected(const std::string& name, const std::string& text, size_t line,
+                    const std::string& want) {
+  std::string path = WriteTemp(name, text);
+  metrics::PmDump parsed;
+  std::string error;
+  EXPECT_FALSE(metrics::ReadPmDump(path, &parsed, &error));
+  EXPECT_NE(error.find(path + ":" + std::to_string(line) + ": "), std::string::npos) << error;
+  EXPECT_NE(error.find(want), std::string::npos) << error;
+}
+
+TEST(PmDumpFormat, RejectsOlderDumpFormats) {
+  ExpectRejected("old.pmtrace", "pmtrace 2\nlabel cclbtree\nstat user_bytes 16\n", 1,
+                 "pmtrace 2");
+  ExpectRejected("old.pmmetrics",
+                 "{\"type\":\"header\",\"pmmetrics\":1,\"label\":\"cclbtree\"}\n", 1,
+                 ".pmmetrics");
+}
+
+TEST(PmDumpFormat, RejectsEpochArrayWiderThanItsNamesTable) {
+  std::string text = Serialize(FullDump());
+  const std::string good = "ops=10,2,0,0 ";
+  size_t at = text.find(good);
+  ASSERT_NE(at, std::string::npos);
+  text.replace(at, good.size(), "ops=10,2,0,0,1 ");
+  size_t line = 1 + static_cast<size_t>(std::count(text.begin(), text.begin() + at, '\n'));
+  ExpectRejected("wide.pmdump", text, line, "epoch ops has 5 entries; names op_kinds has 4");
 }
 
 }  // namespace

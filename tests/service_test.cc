@@ -14,7 +14,7 @@
 
 #include "src/core/ccl_btree.h"
 #include "src/kvindex/runtime.h"
-#include "src/metrics/pmmetrics.h"
+#include "src/metrics/pmdump.h"
 #include "src/pmsim/crash_injector.h"
 #include "src/service/service.h"
 

@@ -28,9 +28,12 @@
 #   6c. service: the sharded KV front-end suite re-run as a named step
 #      (ctest -R service) so a socket-pinning, admission-control, or
 #      acked-write-durability regression is named explicitly (DESIGN.md §15)
-#   6d. pmctl: one small fig03 cclbtree run with both checkers on writes real
-#      .pmtrace/.pmmetrics dumps; pmctl stats, check, locks and series must
-#      all exit 0 on them (clean checkers, component sums hold per epoch)
+#   6d. pmctl: one small fig03 cclbtree run with both checkers on and
+#      CCL_TRACE=1 writes a real .pmdump; every pmctl verb (stats, check,
+#      locks, series, top, heatmap, trace -o) must exit 0 on it (clean
+#      checkers, component sums hold per epoch) and the trace export must be
+#      valid JSON; a small bench_service_tail dump goes through stats, series
+#      and top, so service dumps are read back too
 #   6e. perfbench smoke: python3 perfbench/run.py --smoke builds the repo
 #      benchmark and runs every workload small, traced and untraced: the
 #      torn crash -> restore -> Reopen -> Recover -> audit of every acked
@@ -42,8 +45,8 @@
 #      bench_backend_matrix sweep across all backends and the open-loop
 #      bench_service_tail sweep (virtual tail latencies must be bit-stable)
 #   8. metrics-determinism: the metrics registry / epoch-series test binary
-#      re-run on its own so a nondeterministic .pmmetrics series is named
-#      explicitly in the CI log (step 7 additionally diffs the epoch series
+#      re-run on its own so a nondeterministic epoch series is named
+#      explicitly in the CI log (step 7 additionally diffs the .pmdump files
 #      emitted by the real benches)
 #   9. bench-gate: tools/bench_gate.py --self-test (seeds a fake regression
 #      and requires detection), then fresh results staged at the
@@ -143,21 +146,30 @@ CCL_BACKEND=cxl ctest --test-dir build --output-on-failure -j"$(nproc)"
 echo "=== service: ctest -R service ==="
 ctest --test-dir build -R service --output-on-failure
 
-# pmctl on real dumps: the checker sections and the epoch series are read
-# back by the tool users run, not only by the unit tests. Any nonzero exit
-# (checker off, a violation, a component-sum break, a missing dump) fails.
-echo "=== pmctl: stats/check/locks/series on a checked fig03 dump ==="
+# pmctl on real dumps: every section of a run dump is read back by the tool
+# users run, not only by the unit tests. Any nonzero exit (checker off, a
+# violation, a component-sum break, a missing dump, invalid trace JSON)
+# fails.
+echo "=== pmctl: every verb on a checked, traced fig03 dump; stats/series/top on a service dump ==="
 PMCTL_DIR="$(mktemp -d)"
-CCL_BENCH_SCALE=20000 CCL_TRACE="${PMCTL_DIR}/tr" CCL_METRICS="${PMCTL_DIR}/m" \
-  CCL_PMCHECK=1 CCL_LOCKCHECK=1 \
+CCL_BENCH_SCALE=20000 CCL_DUMP="${PMCTL_DIR}/d" CCL_TRACE=1 CCL_PMCHECK=1 CCL_LOCKCHECK=1 \
   ./build/bench/bench_fig03_amplification_uniform --benchmark_filter=cclbtree >/dev/null
-for dump in "${PMCTL_DIR}"/tr.*.pmtrace; do
-  ./build/tools/pmctl stats "${dump}" >/dev/null
+CCL_BENCH_SCALE=20000 CCL_DUMP="${PMCTL_DIR}/s" \
+  ./build/bench/bench_service_tail --benchmark_filter='shards2/poisson/load50' >/dev/null
+ls "${PMCTL_DIR}"/d.*.pmdump "${PMCTL_DIR}"/s.*.pmdump >/dev/null
+for dump in "${PMCTL_DIR}"/d.*.pmdump; do
   ./build/tools/pmctl check "${dump}"
   ./build/tools/pmctl locks "${dump}"
+  for verb in stats series top heatmap; do
+    ./build/tools/pmctl "${verb}" "${dump}" >/dev/null
+  done
+  ./build/tools/pmctl trace "${dump}" -o "${PMCTL_DIR}/trace.json"
+  python3 -m json.tool "${PMCTL_DIR}/trace.json" >/dev/null
 done
-for dump in "${PMCTL_DIR}"/m.*.pmmetrics; do
-  ./build/tools/pmctl series "${dump}" >/dev/null
+for dump in "${PMCTL_DIR}"/s.*.pmdump; do
+  for verb in stats series top; do
+    ./build/tools/pmctl "${verb}" "${dump}" >/dev/null
+  done
 done
 rm -rf "${PMCTL_DIR}"
 

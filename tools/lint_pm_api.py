@@ -24,7 +24,7 @@ Rules (R1-R8; see RULES below for the authoritative patterns):
   R6  wall-clock reads in metric-recording code (src/metrics/) outside the
       sanctioned clock shim src/metrics/clock.h — everything wall-derived
       must flow through metrics::WallNowNs() so it stays quarantined in the
-      .pmmetrics summary record, never the deterministic epoch series
+      `wall` records of the .pmdump, never the deterministic epoch series
   R7  raw lock primitives (std::mutex/std::shared_mutex/pthread locks/
       atomic_flag spins/hand-rolled acquire-ordered CAS or exchange loops)
       outside src/common/lock.h — every lock must be a sync:: wrapper so the

@@ -1,177 +1,43 @@
-// pmctl: inspector for .pmtrace dumps produced by the bench driver (set
-// CCL_TRACE=<prefix> and run any bench; one dump per measured run). Modeled
-// on ipmctl's show/performance verbs, but reading the simulator's richer
-// attribution data instead of DIMM SMART counters.
+// pmctl: inspector for the .pmdump run dumps written by the bench driver and
+// the sharded service (set CCL_DUMP=<prefix> and run any bench; one dump per
+// measured run; CCL_TRACE=1 adds the event rings and the XPLine heatmap).
+// Modeled on ipmctl's show/performance verbs, but reading the simulator's
+// richer attribution data instead of DIMM SMART counters. Every verb reads
+// the dump through the one reader, metrics::ReadPmDump (src/metrics/pmdump.h).
 //
 //   pmctl stats   <dump>            amplification + per-tag/per-component table
 //   pmctl heatmap <dump> [--cols N] ASCII XPLine write-count heatmap
 //   pmctl trace   <dump> [-o f]     Chrome trace-event JSON (Perfetto-loadable)
 //   pmctl check   <dump>            pmcheck persistency report; exit 3 on violations
 //   pmctl locks   <dump>            lockcheck locking report; exit 3 on violations
+//   pmctl top     <dump>            one-shot terminal dashboard (no polling by
+//                                   design — wrap with `watch -n1` for a live view)
+//   pmctl series  <dump>            per-epoch time series as CSV; exits 3 if any
+//                                   epoch's per-component bytes fail to sum to
+//                                   that epoch's media_write_bytes
 //
 // check and locks render the dump's checker sections through one renderer
 // (the shared section schema, src/pmsim/check_report.h); both exit 2 when
 // the checker was off for the run.
-//
-// It also reads the .pmmetrics JSON-lines time series written when
-// CCL_METRICS=<prefix> is set (src/bench/metrics_dump.h) — how a run's rates
-// evolved over virtual time is `pmctl series`:
-//   pmctl top     <dump.pmmetrics>          one-shot terminal dashboard (no
-//                                           polling by design — wrap with
-//                                           `watch -n1` for a live view)
-//   pmctl series  <dump.pmmetrics> [--json] per-epoch time series as CSV
-//                                           (default) or raw JSON lines;
-//                                           exits 3 if any epoch's
-//                                           per-component bytes fail to sum
-//                                           to that epoch's media_write_bytes
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <iostream>
-#include <map>
 #include <sstream>
 #include <string>
 #include <vector>
 
-#include "src/metrics/pmmetrics.h"
+#include "src/metrics/pmdump.h"
 #include "src/pmsim/check_report.h"
-#include "src/trace/component.h"
-#include "src/trace/event.h"
 #include "src/trace/exporters.h"
 #include "src/trace/trace.h"
 
 namespace cclbt::pmctl {
 namespace {
 
-struct TagRow {
-  std::string name;
-  uint64_t writes = 0;
-};
-
-struct CompRow {
-  std::string name;
-  uint64_t media_bytes = 0;
-  uint64_t committed_lines = 0;
-};
-
-struct Dump {
-  int version = 0;
-  std::string label;
-  std::map<std::string, std::string> config;
-  std::vector<std::pair<std::string, uint64_t>> stats;  // declaration order
-  std::vector<TagRow> tags;
-  std::vector<CompRow> comps;
-  uint64_t heat_units = 0;
-  uint64_t heat_per_bin = 0;
-  std::vector<trace::HeatBin> heat_bins;  // sparse, as dumped
-  std::vector<trace::NamedRing> rings;
-  // One section per checker that was on for the run (CCL_PMCHECK=1 /
-  // CCL_LOCKCHECK=1 or the RunConfig flags).
-  std::vector<pmsim::CheckSection> checks;
-};
-
-uint64_t Stat(const Dump& d, const std::string& name) {
-  for (const auto& [k, v] : d.stats) {
-    if (k == name) {
-      return v;
-    }
-  }
-  return 0;
-}
-
-bool ParseDump(const std::string& path, Dump& d) {
-  std::ifstream in(path);
-  if (!in) {
-    std::cerr << "pmctl: cannot open " << path << "\n";
-    return false;
-  }
-  std::string line;
-  trace::NamedRing* ring = nullptr;
-  size_t lineno = 0;
-  while (std::getline(in, line)) {
-    lineno++;
-    if (line.empty() || line[0] == '#') {
-      continue;
-    }
-    std::istringstream ss(line);
-    std::string kw;
-    ss >> kw;
-    if (kw == "pmtrace") {
-      ss >> d.version;
-    } else if (kw == "label") {
-      ss >> d.label;
-    } else if (kw == "config") {
-      std::string key, value;
-      ss >> key >> value;
-      d.config[key] = value;
-    } else if (kw == "stat") {
-      std::string name;
-      uint64_t value = 0;
-      ss >> name >> value;
-      d.stats.emplace_back(name, value);
-    } else if (kw == "stattag") {
-      TagRow row;
-      ss >> row.name >> row.writes;
-      d.tags.push_back(row);
-    } else if (kw == "statcomp") {
-      CompRow row;
-      ss >> row.name >> row.media_bytes >> row.committed_lines;
-      d.comps.push_back(row);
-    } else if (kw == "heat") {
-      ss >> d.heat_units >> d.heat_per_bin;
-    } else if (kw == "heatbin") {
-      trace::HeatBin bin;
-      ss >> bin.first_unit >> bin.units >> bin.writes >> bin.hottest_unit >>
-          bin.hottest_writes;
-      d.heat_bins.push_back(bin);
-    } else if (kw == "ring") {
-      trace::NamedRing r;
-      uint64_t retained = 0;
-      ss >> r.worker_id >> r.socket >> r.emitted >> retained;
-      r.events.reserve(retained);
-      d.rings.push_back(std::move(r));
-      ring = &d.rings.back();
-    } else if (kw == "event") {
-      int worker = 0;
-      uint64_t t_ns = 0, arg = 0;
-      unsigned type = 0, comp = 0, aux = 0, dimm = 0;
-      ss >> worker >> t_ns >> type >> comp >> arg >> aux >> dimm;
-      if (ring == nullptr || ring->worker_id != worker) {
-        std::cerr << "pmctl: " << path << ":" << lineno << ": event outside its ring\n";
-        return false;
-      }
-      trace::TraceEvent ev;
-      ev.t_ns = t_ns;
-      ev.arg = arg;
-      ev.aux = aux;
-      ev.type = static_cast<uint8_t>(type);
-      ev.comp = static_cast<uint8_t>(comp);
-      ev.dimm = static_cast<uint16_t>(dimm);
-      ring->events.push_back(ev);
-    } else {
-      // Checker sections go to the shared reader, which skips every other
-      // unknown keyword (forward compatibility with newer dumps).
-      std::string error;
-      if (!pmsim::ParseCheckSectionLine(line, &d.checks, &error)) {
-        std::cerr << "pmctl: " << path << ":" << lineno << ": " << error << "\n";
-        return false;
-      }
-      continue;
-    }
-    if (!ss && kw != "pmtrace") {
-      std::cerr << "pmctl: " << path << ":" << lineno << ": malformed '" << kw
-                << "' line\n";
-      return false;
-    }
-  }
-  if (d.version != 2) {
-    std::cerr << "pmctl: " << path << ": unsupported pmtrace version " << d.version
-              << "\n";
-    return false;
-  }
-  return true;
-}
+using metrics::PmDump;
 
 std::string HumanBytes(uint64_t bytes) {
   char buf[32];
@@ -187,13 +53,13 @@ std::string HumanBytes(uint64_t bytes) {
   return buf;
 }
 
-int CmdStats(const Dump& d) {
-  uint64_t user = Stat(d, "user_bytes");
-  uint64_t xpb = Stat(d, "xpbuffer_write_bytes");
-  uint64_t media = Stat(d, "media_write_bytes");
-  std::printf("run %s (elapsed %s virtual ms)\n", d.label.c_str(),
-              d.config.count("elapsed_virtual_ms") ? d.config.at("elapsed_virtual_ms").c_str()
-                                                   : "?");
+int CmdStats(const PmDump& d) {
+  uint64_t user = d.Stat("user_bytes");
+  uint64_t xpb = d.Stat("xpbuffer_write_bytes");
+  uint64_t media = d.Stat("media_write_bytes");
+  std::ostringstream elapsed_ms;
+  elapsed_ms << static_cast<double>(d.config.elapsed_virtual_ns) / 1e6;
+  std::printf("run %s (elapsed %s virtual ms)\n", d.label.c_str(), elapsed_ms.str().c_str());
   std::printf("\n-- counters --\n");
   for (const auto& [name, value] : d.stats) {
     std::printf("  %-28s %20llu\n", name.c_str(), static_cast<unsigned long long>(value));
@@ -210,10 +76,10 @@ int CmdStats(const Dump& d) {
   if (!d.tags.empty()) {
     std::printf("\n-- media writes by stream tag (address range) --\n");
     uint64_t total = 0;
-    for (const TagRow& row : d.tags) {
+    for (const PmDump::TagRow& row : d.tags) {
       total += row.writes;
     }
-    for (const TagRow& row : d.tags) {
+    for (const PmDump::TagRow& row : d.tags) {
       double pct = total == 0 ? 0.0
                               : 100.0 * static_cast<double>(row.writes) /
                                     static_cast<double>(total);
@@ -224,10 +90,10 @@ int CmdStats(const Dump& d) {
   if (!d.comps.empty()) {
     std::printf("\n-- media write bytes by component (code scope) --\n");
     uint64_t comp_total = 0;
-    for (const CompRow& row : d.comps) {
+    for (const PmDump::CompRow& row : d.comps) {
       comp_total += row.media_bytes;
     }
-    for (const CompRow& row : d.comps) {
+    for (const PmDump::CompRow& row : d.comps) {
       if (row.media_bytes == 0 && row.committed_lines == 0) {
         continue;
       }
@@ -253,10 +119,9 @@ int CmdStats(const Dump& d) {
   return 0;
 }
 
-int CmdHeatmap(const Dump& d, int columns) {
+int CmdHeatmap(const PmDump& d, int columns) {
   if (d.heat_units == 0 || d.heat_per_bin == 0) {
-    std::printf("(no heatmap in dump; run under CCL_TRACE with a driver that enables "
-                "record_unit_heatmap)\n");
+    std::printf("(no heatmap in dump; run the driver with CCL_TRACE=1 next to CCL_DUMP)\n");
     return 0;
   }
   // Reconstitute the dense bin vector (the dump omits empty bins).
@@ -294,7 +159,7 @@ int CmdHeatmap(const Dump& d, int columns) {
   return 0;
 }
 
-int CmdTrace(const Dump& d, const std::string& out_path) {
+int CmdTrace(const PmDump& d, const std::string& out_path) {
   if (d.rings.empty()) {
     std::cerr << "pmctl: no trace rings in dump\n";
     return 1;
@@ -329,11 +194,11 @@ int CmdTrace(const Dump& d, const std::string& out_path) {
 // §11) or lockcheck (`pmctl locks`, §16). `env` names the switch that turns
 // the checker on. Exit status: 0 clean, 2 checker was not enabled for the
 // run, 3 violations; informational findings never gate it.
-int CmdCheckSection(const Dump& d, const char* checker, const char* env) {
+int CmdCheckSection(const PmDump& d, const char* checker, const char* env) {
   const pmsim::CheckSection* s = pmsim::FindCheckSection(d.checks, checker);
   if (s == nullptr) {
     std::printf("run %s: %s was not enabled for this run\n", d.label.c_str(), checker);
-    std::printf("(rerun with %s=1 and CCL_TRACE=<prefix> to produce a checked dump)\n", env);
+    std::printf("(rerun with %s=1 and CCL_DUMP=<prefix> to produce a checked dump)\n", env);
     return pmsim::CheckVerdict(s);
   }
   std::printf("run %s: %s %s — %llu violation(s), %llu informational, %llu suppressed\n",
@@ -341,9 +206,8 @@ int CmdCheckSection(const Dump& d, const char* checker, const char* env) {
               static_cast<unsigned long long>(s->total()),
               static_cast<unsigned long long>(s->total_info()),
               static_cast<unsigned long long>(s->total_suppressed()));
-  auto backend = d.config.find("backend");
-  if (backend != d.config.end()) {
-    std::printf("  %-22s %14s\n", "backend", backend->second.c_str());
+  if (!d.config.backend.empty()) {
+    std::printf("  %-22s %14s\n", "backend", d.config.backend.c_str());
   }
   for (const auto& [name, value] : s->stats) {
     std::printf("  %-22s %14llu\n", name.c_str(), static_cast<unsigned long long>(value));
@@ -378,13 +242,13 @@ int CmdCheckSection(const Dump& d, const char* checker, const char* env) {
   return pmsim::CheckVerdict(s);
 }
 
-// --- .pmmetrics commands ----------------------------------------------------
+// --- epoch-series commands ---------------------------------------------------
 
 // Verifies the per-epoch extension of the PR 2 sum-to-total invariant: in
 // every epoch, the windowed per-component media bytes must sum exactly to
 // the windowed media_write_bytes. Returns the number of violating epochs
 // (reported to stderr).
-size_t CheckEpochComponentSums(const metrics::PmMetricsFile& f) {
+size_t CheckEpochComponentSums(const PmDump& f) {
   size_t bad = 0;
   for (const metrics::EpochRecord& e : f.epochs) {
     uint64_t sum = e.ComponentBytesTotal();
@@ -415,15 +279,13 @@ std::string Spark(const std::vector<double>& values) {
   return out;
 }
 
-int CmdTop(const metrics::PmMetricsFile& f) {
-  std::printf("run %-20s  threads %llu  ops %llu  epoch %.3f virtual ms\n",
-              f.header.label.c_str(), static_cast<unsigned long long>(f.header.threads),
-              static_cast<unsigned long long>(f.header.ops),
-              static_cast<double>(f.header.epoch_ns) / 1e6);
-  if (f.has_summary) {
-    std::printf("elapsed %.3f virtual ms\n",
-                static_cast<double>(f.summary.elapsed_virtual_ns) / 1e6);
-  }
+int CmdTop(const PmDump& f) {
+  std::printf("run %-20s  threads %llu  ops %llu  epoch %.3f virtual ms\n", f.label.c_str(),
+              static_cast<unsigned long long>(f.config.threads),
+              static_cast<unsigned long long>(f.config.ops),
+              static_cast<double>(f.config.epoch_ns) / 1e6);
+  std::printf("elapsed %.3f virtual ms\n",
+              static_cast<double>(f.config.elapsed_virtual_ns) / 1e6);
 
   if (!f.epochs.empty()) {
     // Run-wide windowed aggregates + the most recent epoch's instantaneous view.
@@ -463,7 +325,7 @@ int CmdTop(const metrics::PmMetricsFile& f) {
           continue;
         }
         std::printf(" %s=%llu",
-                    c < f.header.components.size() ? f.header.components[c].c_str() : "?",
+                    c < f.components.size() ? f.components[c].c_str() : "?",
                     static_cast<unsigned long long>(last.comp_bytes[c]));
       }
       std::printf("\n");
@@ -476,22 +338,22 @@ int CmdTop(const metrics::PmMetricsFile& f) {
       std::printf("\n");
     }
   } else {
-    std::printf("\n(no epoch records; os_parallel runs collect totals only)\n");
+    std::printf("\n(no epoch records)\n");
   }
 
-  if (f.has_summary) {
+  if (!f.virt.empty()) {
     std::printf("\n-- per-op latency (virtual ns | wall ns) --\n");
     std::printf("  %-8s %12s %10s %10s %10s | %10s %10s %10s\n", "op", "count", "p50", "p99",
                 "p999", "p50", "p99", "p999");
-    for (size_t k = 0; k < f.summary.virt.size(); k++) {
-      const metrics::OpLatencySummary& v = f.summary.virt[k];
+    for (size_t k = 0; k < f.virt.size(); k++) {
+      const metrics::OpLatencySummary& v = f.virt[k];
       if (v.count == 0) {
         continue;
       }
       const metrics::OpLatencySummary w =
-          k < f.summary.wall.size() ? f.summary.wall[k] : metrics::OpLatencySummary{};
+          k < f.wall.size() ? f.wall[k] : metrics::OpLatencySummary{};
       std::printf("  %-8s %12llu %10llu %10llu %10llu | %10llu %10llu %10llu\n",
-                  k < f.header.op_kinds.size() ? f.header.op_kinds[k].c_str() : "?",
+                  f.op_kinds[k].c_str(),
                   static_cast<unsigned long long>(v.count),
                   static_cast<unsigned long long>(v.p50_ns),
                   static_cast<unsigned long long>(v.p99_ns),
@@ -510,64 +372,57 @@ int CmdTop(const metrics::PmMetricsFile& f) {
   return 0;
 }
 
-int CmdSeries(const metrics::PmMetricsFile& f, bool json) {
-  if (json) {
-    // Raw record lines (the deterministic payload), re-serialized.
-    std::fputs(metrics::SerializeHeader(f.header).c_str(), stdout);
-    std::fputs(metrics::SerializeEpochSeries(f.epochs).c_str(), stdout);
-  } else {
-    // CSV: one row per epoch, stable column order derived from the header
-    // name tables (gauge columns from the first epoch's gauge list).
-    std::string head = "epoch,t_ns";
-    for (const std::string& k : f.header.op_kinds) {
-      head += ",ops_" + k + ",p50_ns_" + k + ",p99_ns_" + k + ",p999_ns_" + k;
+// CSV: one row per epoch, stable column order derived from the names tables
+// (gauge columns from the first epoch's gauge list). The reader has checked
+// every epoch array against its names table.
+int CmdSeries(const PmDump& f) {
+  std::string head = "epoch,t_ns";
+  for (const std::string& k : f.op_kinds) {
+    head += ",ops_" + k + ",p50_ns_" + k + ",p99_ns_" + k + ",p999_ns_" + k;
+  }
+  head +=
+      ",user_bytes,xpbuffer_write_bytes,media_write_bytes,media_read_bytes,"
+      "line_flushes,fences,window_cli,window_xbi";
+  for (const std::string& c : f.components) {
+    head += ",mwB_" + c;
+  }
+  head += ",xpbuf_resident,xpbuf_insertions,xpbuf_evictions";
+  for (const std::string& c : f.counters) {
+    head += "," + c;
+  }
+  if (!f.epochs.empty()) {
+    for (const auto& [name, value] : f.epochs.front().gauges) {
+      (void)value;
+      head += ",gauge_" + name;
     }
-    head +=
-        ",user_bytes,xpbuffer_write_bytes,media_write_bytes,media_read_bytes,"
-        "line_flushes,fences,window_cli,window_xbi";
-    for (const std::string& c : f.header.components) {
-      head += ",mwB_" + c;
+  }
+  std::printf("%s\n", head.c_str());
+  auto cell = [](uint64_t v) { return std::to_string(v); };
+  for (const metrics::EpochRecord& e : f.epochs) {
+    std::string row = cell(e.index) + "," + cell(e.t_ns);
+    for (size_t k = 0; k < e.ops.size(); k++) {
+      row += "," + cell(e.ops[k]) + "," + cell(e.p50_ns[k]) + "," + cell(e.p99_ns[k]) + "," +
+             cell(e.p999_ns[k]);
     }
-    head += ",xpbuf_resident,xpbuf_insertions,xpbuf_evictions";
-    for (const std::string& c : f.header.counters) {
-      head += "," + c;
+    row += "," + cell(e.user_bytes) + "," + cell(e.xpbuffer_write_bytes) + "," +
+           cell(e.media_write_bytes) + "," + cell(e.media_read_bytes) + "," +
+           cell(e.line_flushes) + "," + cell(e.fences);
+    char amp[64];
+    std::snprintf(amp, sizeof(amp), ",%.6f,%.6f", e.WindowCli(), e.WindowXbi());
+    row += amp;
+    for (uint64_t v : e.comp_bytes) {
+      row += "," + cell(v);
     }
-    if (!f.epochs.empty()) {
-      for (const auto& [name, value] : f.epochs.front().gauges) {
-        (void)value;
-        head += ",gauge_" + name;
-      }
+    row += "," + cell(e.xpbuf_resident) + "," + cell(e.xpbuf_insertions) + "," +
+           cell(e.xpbuf_evictions);
+    for (uint64_t v : e.counters) {
+      row += "," + cell(v);
     }
-    std::printf("%s\n", head.c_str());
-    auto cell = [](uint64_t v) { return std::to_string(v); };
-    for (const metrics::EpochRecord& e : f.epochs) {
-      std::string row = cell(e.index) + "," + cell(e.t_ns);
-      for (size_t k = 0; k < f.header.op_kinds.size(); k++) {
-        row += "," + cell(k < e.ops.size() ? e.ops[k] : 0);
-        row += "," + cell(k < e.p50_ns.size() ? e.p50_ns[k] : 0);
-        row += "," + cell(k < e.p99_ns.size() ? e.p99_ns[k] : 0);
-        row += "," + cell(k < e.p999_ns.size() ? e.p999_ns[k] : 0);
-      }
-      row += "," + cell(e.user_bytes) + "," + cell(e.xpbuffer_write_bytes) + "," +
-             cell(e.media_write_bytes) + "," + cell(e.media_read_bytes) + "," +
-             cell(e.line_flushes) + "," + cell(e.fences);
-      char amp[64];
-      std::snprintf(amp, sizeof(amp), ",%.6f,%.6f", e.WindowCli(), e.WindowXbi());
-      row += amp;
-      for (size_t c = 0; c < f.header.components.size(); c++) {
-        row += "," + cell(c < e.comp_bytes.size() ? e.comp_bytes[c] : 0);
-      }
-      row += "," + cell(e.xpbuf_resident) + "," + cell(e.xpbuf_insertions) + "," +
-             cell(e.xpbuf_evictions);
-      for (size_t c = 0; c < f.header.counters.size(); c++) {
-        row += "," + cell(c < e.counters.size() ? e.counters[c] : 0);
-      }
-      for (const auto& [name, value] : e.gauges) {
-        (void)name;
-        row += "," + cell(value);
-      }
-      std::printf("%s\n", row.c_str());
+    for (const auto& [name, value] : e.gauges) {
+      (void)name;
+      row += "," + cell(value);
     }
+    std::printf("%s\n", row.c_str());
   }
   // The CI contract: a series export fails loudly when any epoch's
   // per-component bytes do not sum to the windowed media-write delta.
@@ -576,20 +431,18 @@ int CmdSeries(const metrics::PmMetricsFile& f, bool json) {
 
 int Usage() {
   std::cerr
-      << "usage: pmctl <stats|heatmap|trace|check|locks|top|series> <dump> [options]\n"
-         "  stats   <dump.pmtrace>              counters, amplification, per-component breakdown\n"
-         "  heatmap <dump.pmtrace> [--cols N]   ASCII XPLine write heatmap (default 64 cols)\n"
-         "  trace   <dump.pmtrace> [-o f.json]  Chrome trace JSON to f.json (default stdout)\n"
-         "  check   <dump.pmtrace>              pmcheck persistency report; exit 3 on violations\n"
-         "  locks   <dump.pmtrace>              lockcheck locking report; exit 3 on violations\n"
-         "  top     <dump.pmmetrics>            terminal dashboard (one-shot; `watch -n1` for live)\n"
-         "  series  <dump.pmmetrics> [--json]   per-epoch series (rates over virtual time) as CSV\n"
-         "                                      (default) or JSON lines; the dump path comes\n"
-         "                                      first; exit 3 on component-sum violation\n"
-         "Produce .pmtrace dumps by running any bench with CCL_TRACE=<path-prefix>\n"
-         "(add CCL_PMCHECK=1 / CCL_LOCKCHECK=1 for dumps `pmctl check` / `pmctl locks`\n"
-         "can report on), and\n"
-         ".pmmetrics dumps with CCL_METRICS=<path-prefix>.\n";
+      << "usage: pmctl <stats|heatmap|trace|check|locks|top|series> <dump.pmdump> [options]\n"
+         "  stats   <dump>              counters, amplification, per-component breakdown\n"
+         "  heatmap <dump> [--cols N]   ASCII XPLine write heatmap (default 64 cols)\n"
+         "  trace   <dump> [-o f.json]  Chrome trace JSON to f.json (default stdout)\n"
+         "  check   <dump>              pmcheck persistency report; exit 3 on violations\n"
+         "  locks   <dump>              lockcheck locking report; exit 3 on violations\n"
+         "  top     <dump>              terminal dashboard (one-shot; `watch -n1` for live)\n"
+         "  series  <dump>              per-epoch series (rates over virtual time) as CSV;\n"
+         "                              exit 3 on component-sum violation\n"
+         "Produce dumps by running any bench with CCL_DUMP=<path-prefix> (add\n"
+         "CCL_TRACE=1 for the event rings and heatmap that `trace` / `heatmap` read,\n"
+         "CCL_PMCHECK=1 / CCL_LOCKCHECK=1 for the sections `check` / `locks` read).\n";
   return 64;
 }
 
@@ -598,27 +451,10 @@ int Main(int argc, char** argv) {
     return Usage();
   }
   std::string cmd = argv[1];
-  std::string path = argv[2];
-  if (cmd == "top" || cmd == "series") {
-    metrics::PmMetricsFile f;
-    std::string error;
-    if (!metrics::ReadPmMetricsFile(path, &f, &error)) {
-      std::fprintf(stderr, "pmctl: %s\n", error.c_str());
-      return 1;
-    }
-    if (cmd == "top") {
-      return CmdTop(f);
-    }
-    bool json = false;
-    for (int i = 3; i < argc; i++) {
-      if (std::strcmp(argv[i], "--json") == 0) {
-        json = true;
-      }
-    }
-    return CmdSeries(f, json);
-  }
-  Dump d;
-  if (!ParseDump(path, d)) {
+  PmDump d;
+  std::string error;
+  if (!metrics::ReadPmDump(argv[2], &d, &error)) {
+    std::fprintf(stderr, "pmctl: %s\n", error.c_str());
     return 1;
   }
   if (cmd == "stats") {
@@ -629,6 +465,12 @@ int Main(int argc, char** argv) {
   }
   if (cmd == "locks") {
     return CmdCheckSection(d, "lockcheck", "CCL_LOCKCHECK");
+  }
+  if (cmd == "top") {
+    return CmdTop(d);
+  }
+  if (cmd == "series") {
+    return CmdSeries(d);
   }
   if (cmd == "heatmap") {
     int columns = 64;
