@@ -12,11 +12,13 @@
 // (beyond — admission control sheds the excess and tails of *admitted*
 // requests stay bounded by the queue depth). Rows sweep 2 and 4 shards,
 // pinned round-robin across the device's 2 sockets by
-// Runtime::SocketForWorker.
+// Runtime::SocketForWorker. Two bursty rows follow (see RegisterAll).
 //
 // Every reported counter is virtual-time/count data: rows are bit-identical
 // run-to-run and participate in the run_benches.sh determinism diff and the
-// bench_gate baseline.
+// bench_gate baseline. Under CCL_DUMP each row writes two dumps: the
+// capacity probe's (label service_tail_s<N>_probe) and the measured run's
+// (service_tail_s<N>); CCL_TRACE=1 adds event rings and the XPLine heatmap.
 #include <memory>
 #include <string>
 
@@ -54,6 +56,9 @@ OpenLoopConfig MakeWorkload(uint64_t scale, double offered_mops) {
 
 std::unique_ptr<kvindex::Runtime> MakeRuntime() {
   kvindex::RuntimeOptions options;  // default device: 2 sockets, 4 DIMMs each
+  // Under CCL_TRACE=1 the dump also carries the per-XPLine heatmap (the
+  // counters only exist when enabled at device construction).
+  options.device.record_unit_heatmap = env::Get().trace;
   return std::make_unique<kvindex::Runtime>(options);
 }
 
@@ -63,7 +68,9 @@ std::unique_ptr<kvindex::Runtime> MakeRuntime() {
 // benchmark filters.
 double ProbeCapacityMops(int shards, uint64_t scale) {
   auto runtime = MakeRuntime();
-  ShardedKvService probe(*runtime, MakeServiceConfig(shards));
+  ServiceConfig config = MakeServiceConfig(shards);
+  config.label += "_probe";
+  ShardedKvService probe(*runtime, config);
   OpenLoopConfig w = MakeWorkload(scale, /*offered_mops=*/0);
   probe.Warm(w);
   return probe.Run(w).achieved_mops;
@@ -106,8 +113,9 @@ void SetServiceCounters(benchmark::State& state, const ServiceResult& result) {
   state.counters["max_qdepth"] = static_cast<double>(max_depth);
 }
 
+// `burst_factor` applies to ArrivalProcess::kBurst only (duty stays 25%).
 void RunRow(benchmark::State& state, int shards, int load_pct, ArrivalProcess process,
-            uint64_t scale) {
+            double burst_factor, uint64_t scale) {
   for (auto _ : state) {
     double capacity = ProbeCapacityMops(shards, scale);
     auto runtime = MakeRuntime();
@@ -115,6 +123,7 @@ void RunRow(benchmark::State& state, int shards, int load_pct, ArrivalProcess pr
     OpenLoopConfig w =
         MakeWorkload(scale, capacity * static_cast<double>(load_pct) / 100.0);
     w.process = process;
+    w.burst_factor = burst_factor;
     svc.Warm(w);
     ServiceResult result = svc.Run(w);
     state.counters["capacity_Mops"] = capacity;
@@ -129,19 +138,28 @@ void RegisterAll() {
       std::string name = "service_tail/shards" + std::to_string(shards) + "/poisson/load" +
                          std::to_string(load_pct);
       benchmark::RegisterBenchmark(name.c_str(), [=](benchmark::State& state) {
-        RunRow(state, shards, load_pct, ArrivalProcess::kPoisson, scale);
+        RunRow(state, shards, load_pct, ArrivalProcess::kPoisson, 1.0, scale);
       })->Iterations(1)->Unit(benchmark::kMillisecond);
     }
   }
-  // One bursty row: same mean load as poisson/load100 but arriving in 4x
-  // on/off bursts — the flash-crowd case the admission watermark absorbs.
-  benchmark::RegisterBenchmark(
-      "service_tail/shards2/burst/load100",
-      [=](benchmark::State& state) {
-        RunRow(state, 2, 100, ArrivalProcess::kBurst, scale);
-      })
-      ->Iterations(1)
-      ->Unit(benchmark::kMillisecond);
+  // Bursty rows: within each 1 ms period the first 25% arrives at
+  // burst_factor x the mean rate, the rest at the rate that keeps the mean.
+  //  * burst2x/load50: 2x bursts over a 50% mean — on-window at 100% of
+  //    capacity, off-window at 33%.
+  //  * onoff4x/peak400: factor 4 x duty 25% = 1 leaves no rate for the
+  //    off-window, which is clamped to the 5% floor: a 4x on/off flash crowd
+  //    peaking at 400% of capacity (mean ~104%), not a 100%-mean stream.
+  struct BurstRow {
+    const char* name;
+    int load_pct;
+    double factor;
+  };
+  for (const BurstRow& row : {BurstRow{"service_tail/shards2/burst2x/load50", 50, 2.0},
+                              BurstRow{"service_tail/shards2/onoff4x/peak400", 100, 4.0}}) {
+    benchmark::RegisterBenchmark(row.name, [=](benchmark::State& state) {
+      RunRow(state, 2, row.load_pct, ArrivalProcess::kBurst, row.factor, scale);
+    })->Iterations(1)->Unit(benchmark::kMillisecond);
+  }
 }
 
 }  // namespace

@@ -918,35 +918,54 @@ void CclBTree::GcThreadBody() {
   }
 }
 
+bool CclBTree::GcDue() const {
+  return sweep_open_.load(std::memory_order_relaxed) || GcTriggerReached();
+}
+
 bool CclBTree::GcTick() {
-  if (gc_ctx_ == nullptr || options_.gc_mode == GcMode::kNone || !GcTriggerReached()) {
+  if (gc_ctx_ == nullptr || options_.gc_mode == GcMode::kNone || !GcDue()) {
     return false;
   }
+  return StepOnGcContext(kFullRound, gc_ctx_->worker_id());
+}
+
+bool CclBTree::GcStep(uint64_t budget) {
+  // The path that is not sweeping costs this one check (no lock).
+  if (budget == 0 || gc_ctx_ == nullptr || options_.gc_mode == GcMode::kNone || !GcDue()) {
+    return false;
+  }
+  pmsim::ThreadContext* caller = pmsim::ThreadContext::Current();
+  assert(caller != nullptr);
+  return StepOnGcContext(options_.gc_mode == GcMode::kNaive ? kFullRound : budget,
+                         caller->worker_id());
+}
+
+bool CclBTree::StepOnGcContext(uint64_t budget, int wal_worker) {
   sync::TryLockGuard<sync::Mutex> tick(gc_tick_mu_);
   if (!tick.owns()) {
-    return false;  // another worker is mid-round; it covers this trigger
+    return false;  // another worker is mid-step; it covers this trigger
   }
-  if (!GcTriggerReached()) {
+  if (!GcDue()) {
     return false;  // the round that just finished already cleared it
   }
   // Fast-forward the GC context to the frontier of every live clock: the
-  // round happens "now" in the simulated timeline, after the work that
-  // tripped the trigger, not at whatever stale time the last round ended.
+  // step happens "now" in the simulated timeline, after the work that
+  // tripped the trigger, not at whatever stale time the last step ended.
   gc_ctx_->ResetClock(std::max(gc_ctx_->now_ns(), rt_.device().MaxContextClockNs()));
   pmsim::ThreadContext* saved = pmsim::ThreadContext::Current();
-  // A crash injector may abort the round mid-stream (CrashPointReached):
+  // A crash injector may abort the step mid-stream (CrashPointReached):
   // restore the caller's context on every exit path.
   struct Restore {
     pmsim::ThreadContext* saved;
     ~Restore() { pmsim::ThreadContext::SetCurrent(saved); }
   } restore{saved};
   pmsim::ThreadContext::SetCurrent(gc_ctx_.get());
-  RunGcOnce();
+  bool finished = RunGcStep(budget, wal_worker);
   if (options_.gc_mode == GcMode::kNaive) {
     // Stop-the-world: every worker resumes only after the barrier ends.
     rt_.device().RaiseContextClocks(gc_ctx_->now_ns());
   }
-  return true;
+  return finished;
 }
 
 std::vector<CclBTree::GcFenceWindow> CclBTree::gc_fence_windows() const {
@@ -974,31 +993,36 @@ void CclBTree::RunGcOnce() {
   if (options_.gc_mode == GcMode::kNone) {
     return;
   }
+  pmsim::ThreadContext* ctx = pmsim::ThreadContext::Current();
+  assert(ctx != nullptr);
+  sync::LockGuard<sync::Mutex> guard(gc_tick_mu_);
+  RunGcStep(kFullRound, ctx->worker_id());
+}
+
+bool CclBTree::RunGcStep(uint64_t budget, int wal_worker) {
   // With a crash injector installed (crash-matrix runs only), record this
-  // round's fence window so the matrix can schedule points that land inside
+  // step's fence window so the matrix can schedule points that land inside
   // GC's own flush/fence stream.
   pmsim::CrashInjector* injector = rt_.device().crash_injector();
   const uint64_t first_fence = injector != nullptr ? injector->fences_observed() + 1 : 0;
+  const uint64_t sweep = gc_rounds_.load(std::memory_order_relaxed) + 1;
   trace::TraceScope scope(trace::Component::kGc);
   trace::Emit(trace::EventType::kGcBegin, wals_->live_bytes());
-  switch (options_.gc_mode) {
-    case GcMode::kNone:
-      break;
-    case GcMode::kNaive:
-      NaiveGc();
-      break;
-    case GcMode::kLocalityAware:
-      LocalityAwareGc();
-      break;
+  bool finished = true;
+  if (options_.gc_mode == GcMode::kNaive) {
+    NaiveGc();
+  } else {
+    finished = LocalityAwareSweep(budget, wal_worker);
   }
   trace::Emit(trace::EventType::kGcEnd, wals_->live_bytes());
   if (injector != nullptr) {
     uint64_t last_fence = injector->fences_observed();
     if (last_fence >= first_fence) {
       sync::LockGuard<sync::Mutex> guard(gc_windows_mu_);
-      gc_fence_windows_.push_back({first_fence, last_fence});
+      gc_fence_windows_.push_back({first_fence, last_fence, sweep});
     }
   }
+  return finished;
 }
 
 std::vector<BufferNode*> CclBTree::CollectBufferNodes() const {
@@ -1030,77 +1054,111 @@ void CclBTree::NaiveGc() {
   metrics::Add(metrics::Counter::kGcRounds);
 }
 
-void CclBTree::LocalityAwareGc() {
+uint64_t CclBTree::CopyOldEpochSlots(BufferNode* bn, uint64_t limit, int wal_worker,
+                                     bool* done) {
+  const uint32_t old_epoch = sweep_old_epoch_;
+  const uint32_t new_epoch = old_epoch ^ 1u;
   pmsim::ThreadContext* ctx = pmsim::ThreadContext::Current();
-  assert(ctx != nullptr);
-  // Flip the global epoch: appends from now on go to the I-log (§3.4).
-  uint32_t old_epoch = global_epoch_.load(std::memory_order_acquire);
-  uint32_t new_epoch = old_epoch ^ 1u;
-  global_epoch_.store(new_epoch, std::memory_order_release);
-
-  // Copy every still-buffered KV tagged with the old epoch into the I-log —
-  // sequential appends, never a random leaf write. The copy gets a fresh
-  // timestamp, which is safe: the slot holds the newest value for its key
-  // and every later update will receive a still-larger timestamp.
-  std::vector<BufferNode*> bns = CollectBufferNodes();
-  auto scan_partition = [this, &bns, old_epoch, new_epoch](size_t begin, size_t end) {
-    // Helper threads don't inherit the caller's scope: re-enter kGc here so
-    // their WAL appends attribute as GC-driven I-log traffic.
-    trace::TraceScope scope(trace::Component::kGc);
-    pmsim::ThreadContext* gc_ctx = pmsim::ThreadContext::Current();
-    for (size_t b = begin; b < end; b++) {
-      BufferNode* bn = bns[b];
-      bn->Lock();
-      if (!bn->dead()) {
-        BufferSlot* slots = bn->slots();
-        int pos = bn->pos();
-        for (int i = 0; i < pos; i++) {
-          if (bn->EpochBit(i) == old_epoch) {
-            uint64_t ts = rt_.ordo().Now(gc_ctx->socket());
-            bool logged = wals_->Append(gc_ctx->worker_id(), static_cast<int>(new_epoch),
-                                        slots[i].key.load(std::memory_order_relaxed),
-                                        slots[i].value.load(std::memory_order_relaxed), ts);
-            assert(logged && "log arena exhausted during GC");
-            (void)logged;
-            bn->SetEpochBit(i, new_epoch);
-          }
-        }
+  uint64_t copied = 0;
+  *done = true;
+  bn->Lock();
+  if (!bn->dead()) {
+    BufferSlot* slots = bn->slots();
+    int pos = bn->pos();
+    for (int i = 0; i < pos; i++) {
+      if (bn->EpochBit(i) != old_epoch) {
+        continue;
       }
-      bn->Unlock();
-    }
-  };
-  int gc_threads = std::max(1, options_.gc_threads);
-  if (gc_threads == 1 || bns.size() < 1024) {
-    scan_partition(0, bns.size());
-  } else {
-    // Each helper gets its own WAL (reserved worker-id range) and I-logs to
-    // its local socket.
-    std::vector<std::thread> helpers;
-    size_t per = (bns.size() + static_cast<size_t>(gc_threads) - 1) /
-                 static_cast<size_t>(gc_threads);
-    for (int t = 0; t < gc_threads; t++) {
-      size_t begin = static_cast<size_t>(t) * per;
-      size_t end = std::min(bns.size(), begin + per);
-      if (begin >= end) {
+      if (copied == limit) {
+        *done = false;
         break;
       }
-      helpers.emplace_back([this, &scan_partition, begin, end, t] {
+      uint64_t ts = rt_.ordo().Now(ctx->socket());
+      bool logged = wals_->Append(wal_worker, static_cast<int>(new_epoch),
+                                  slots[i].key.load(std::memory_order_relaxed),
+                                  slots[i].value.load(std::memory_order_relaxed), ts);
+      assert(logged && "log arena exhausted during GC");
+      (void)logged;
+      bn->SetEpochBit(i, new_epoch);
+      copied++;
+    }
+  }
+  bn->Unlock();
+  return copied;
+}
+
+bool CclBTree::LocalityAwareSweep(uint64_t budget, int wal_worker) {
+  if (!sweep_open_.load(std::memory_order_relaxed)) {
+    // Flip the global epoch: appends from now on go to the I-log (§3.4).
+    // The snapshot covers every node that can hold an old-epoch slot; nodes
+    // split off later only ever buffer new-epoch entries.
+    sweep_old_epoch_ = global_epoch_.load(std::memory_order_acquire);
+    global_epoch_.store(sweep_old_epoch_ ^ 1u, std::memory_order_release);
+    sweep_bns_ = CollectBufferNodes();
+    sweep_next_ = 0;
+    sweep_open_.store(true, std::memory_order_relaxed);
+  }
+  // Copy still-buffered KVs tagged with the old epoch into the I-log —
+  // sequential appends, never a random leaf write. The copy gets a fresh
+  // timestamp, which is safe: the slot holds the newest value for its key
+  // and every later update will receive a still-larger timestamp. Until the
+  // sweep closes, the old B-log still holds every slot not yet copied, so a
+  // crash between two steps loses nothing.
+  const size_t end = sweep_bns_.size();
+  const int gc_threads = std::max(1, options_.gc_threads);
+  if (budget == kFullRound && gc_threads > 1 && end - sweep_next_ >= 1024) {
+    // Parallel full round: each helper scans a partition with its own
+    // context and WAL (reserved worker-id range), I-logging to its socket.
+    std::vector<std::thread> helpers;
+    const size_t begin_all = sweep_next_;
+    const size_t per = (end - begin_all + static_cast<size_t>(gc_threads) - 1) /
+                       static_cast<size_t>(gc_threads);
+    for (int t = 0; t < gc_threads; t++) {
+      size_t begin = begin_all + static_cast<size_t>(t) * per;
+      size_t stop = std::min(end, begin + per);
+      if (begin >= stop) {
+        break;
+      }
+      helpers.emplace_back([this, begin, stop, t] {
         pmsim::ThreadContext helper_ctx(rt_.device(), t % rt_.device().config().num_sockets,
                                         options_.max_workers - 1 - t);
-        scan_partition(begin, end);
+        // Helper threads don't inherit the caller's scope: re-enter kGc so
+        // their WAL appends attribute as GC-driven I-log traffic.
+        trace::TraceScope scope(trace::Component::kGc);
+        bool done = true;
+        for (size_t b = begin; b < stop; b++) {
+          CopyOldEpochSlots(sweep_bns_[b], kFullRound, helper_ctx.worker_id(), &done);
+        }
       });
     }
     for (auto& helper : helpers) {
       helper.join();
     }
+    sweep_next_ = end;
+  } else {
+    uint64_t copied = 0;
+    while (sweep_next_ < end && copied < budget) {
+      bool done = true;
+      copied += CopyOldEpochSlots(sweep_bns_[sweep_next_], budget - copied, wal_worker, &done);
+      if (!done) {
+        break;  // budget spent inside this node; the next step resumes here
+      }
+      sweep_next_++;
+    }
+  }
+  if (sweep_next_ < end) {
+    return false;
   }
   // Every buffered-but-unflushed KV now lives in the I-log (either copied
   // above or logged there by foreground threads after the flip): the old
   // B-logs are dead and all their chunks return to the free list.
-  wals_->ReleaseEpoch(static_cast<int>(old_epoch));
+  wals_->ReleaseEpoch(static_cast<int>(sweep_old_epoch_));
+  sweep_bns_.clear();
+  sweep_open_.store(false, std::memory_order_relaxed);
   post_gc_live_bytes_.store(wals_->live_bytes(), std::memory_order_relaxed);
   gc_rounds_.fetch_add(1, std::memory_order_relaxed);
   metrics::Add(metrics::Counter::kGcRounds);
+  return true;
 }
 
 void CclBTree::FlushAll() {

@@ -12,6 +12,7 @@
 
 #include <atomic>
 #include <condition_variable>
+#include <cstdint>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -65,24 +66,38 @@ class CclBTree : public kvindex::KvIndex {
   bool Recover(kvindex::Runtime& runtime, int recovery_threads) override;
 
   // --- GC (paper §3.4, scheduling DESIGN.md §10) -----------------------------
-  // One full GC round in the caller's thread (benches drive this directly;
-  // the background scheduler calls it when the TH_log trigger fires).
+  // Locality-aware GC is a resumable sweep: a step flips the epoch if no
+  // sweep is open, copies old-epoch buffered KVs into the I-log, and closes
+  // the sweep (releasing the old B-log) once every buffer node of its
+  // snapshot has been visited. A full round is a step with no budget.
+  //
+  // One full round in the caller's thread, on the caller's context and WAL
+  // (finishes an open sweep instead of starting a new one).
   void RunGcOnce();
   bool GcTriggerReached() const;
-  // Deterministic virtual-time GC step: if the trigger has fired, runs one
-  // round on the tree-owned GC context, fast-forwarded to the frontier of
-  // all live worker clocks. Called automatically every gc_quantum_ops-th
-  // upsert when background_gc is on in kDeterministic scheduling; drivers,
-  // benches and the crash matrix may also call it directly at virtual-time
-  // epochs. Returns true if a round ran. No-op in GcMode::kNone and while
-  // another thread is mid-round.
+  // Deterministic virtual-time GC: if a sweep is open or the trigger has
+  // fired, runs one full round on the tree-owned GC context, fast-forwarded
+  // to the frontier of all live worker clocks. Called automatically every
+  // gc_quantum_ops-th upsert when background_gc is on in kDeterministic
+  // scheduling; drivers, benches and the crash matrix may also call it
+  // directly at virtual-time epochs. Returns true if a round finished. No-op
+  // in GcMode::kNone and while another thread is mid-round.
   bool GcTick() override;
+  // Bounded step of the same sweep: copies at most `budget` entries, with
+  // the PM cost charged to the GC context (like GcTick) but the copies
+  // appended to the caller's own WAL, whose I-log chunk is already live.
+  // Naive GC has no step and runs a full round. Returns true if a round
+  // finished. Costs one trigger check when no sweep is open.
+  bool GcStep(uint64_t budget) override;
   // Fence-count windows [first, last] (1-based, inclusive) of completed GC
-  // rounds, recorded only while a pmsim::CrashInjector is installed. The
-  // crash matrix schedules points inside these windows to crash mid-GC.
+  // steps (one per full round), recorded only while a pmsim::CrashInjector
+  // is installed. `sweep` numbers the sweep the step belongs to (1-based),
+  // so two windows with the same number are steps of one sweep. The crash
+  // matrix schedules points inside these windows to crash mid-GC.
   struct GcFenceWindow {
     uint64_t first_fence = 0;
     uint64_t last_fence = 0;
+    uint64_t sweep = 0;
   };
   std::vector<GcFenceWindow> gc_fence_windows() const;
 
@@ -145,6 +160,8 @@ class CclBTree : public kvindex::KvIndex {
   void TryMergeLeft(uint64_t sep);
 
   // --- GC internals ------------------------------------------------------------
+  // Step budget of a full round: the sweep runs to the end.
+  static constexpr uint64_t kFullRound = UINT64_MAX;
   // Starts the configured GC scheduler. Called exactly once per instance,
   // only after the tree is fully initialized (end of the kCreate constructor
   // or after recovered_ is set in Recover()) — no code path may start GC on
@@ -156,8 +173,21 @@ class CclBTree : public kvindex::KvIndex {
   // trigger is reached (it otherwise blocks on gc_cv_ instead of polling).
   void NotifyGcThreadIfTriggered();
   void GcThreadBody();
+  // An open sweep or a reached trigger: a step has work to do.
+  bool GcDue() const;
+  // Takes gc_tick_mu_ (no-op if another step holds it), installs the GC
+  // context (fast-forwarded to the frontier) and runs one step of `budget`
+  // entries appended to `wal_worker`'s WAL.
+  bool StepOnGcContext(uint64_t budget, int wal_worker);
+  // One GC step in the current context (trace scope, fence window); the
+  // caller holds gc_tick_mu_. Returns true if a round finished.
+  bool RunGcStep(uint64_t budget, int wal_worker);
   void NaiveGc();
-  void LocalityAwareGc();
+  bool LocalityAwareSweep(uint64_t budget, int wal_worker);
+  // Copies up to `limit` of bn's pending old-epoch slots into `wal_worker`'s
+  // I-log. Returns the number copied; *done is false when old-epoch slots
+  // remain because the limit ran out.
+  uint64_t CopyOldEpochSlots(BufferNode* bn, uint64_t limit, int wal_worker, bool* done);
   // Collects live buffer nodes in key order (brief shared-lock windows).
   std::vector<BufferNode*> CollectBufferNodes() const;
 
@@ -213,6 +243,13 @@ class CclBTree : public kvindex::KvIndex {
   sync::Mutex gc_tick_mu_{"tree.gc_tick"};
   // Upserts since creation; every gc_quantum_ops-th one checks the trigger.
   std::atomic<uint64_t> gc_op_counter_{0};
+  // The open locality-aware sweep (serialized by gc_tick_mu_; sweep_open_ is
+  // also read without it as GcStep's cheap pre-check): the buffer nodes
+  // snapshotted at the flip and the next one to visit.
+  std::atomic<bool> sweep_open_{false};
+  uint32_t sweep_old_epoch_ = 0;
+  std::vector<BufferNode*> sweep_bns_;
+  size_t sweep_next_ = 0;
   // Completed GC rounds as fence-count windows; recorded only while a crash
   // injector is installed (crash-matrix runs), so the hot path never locks.
   mutable sync::Mutex gc_windows_mu_{"tree.gc_windows"};

@@ -67,6 +67,7 @@ bool ThreadWal::ActivateChunk(int epoch) {
 }
 
 bool ThreadWal::Append(int epoch, uint64_t key, uint64_t value, uint64_t timestamp) {
+  sync::LockGuard<sync::Mutex> guard(mu_);
   trace::TraceScope scope(WalComponent());
   trace::Emit(trace::EventType::kWalAppend, static_cast<uint64_t>(epoch));
   ActiveChunk& chunk = active_[epoch];
@@ -95,15 +96,12 @@ bool ThreadWal::Append(int epoch, uint64_t key, uint64_t value, uint64_t timesta
 }
 
 uint64_t ThreadWal::ReleaseEpoch(int epoch) {
+  // The GC context writes the free marker into headers that foreground
+  // workers wrote at activation, both under mu_.
+  sync::LockGuard<sync::Mutex> guard(mu_);
   trace::TraceScope scope(WalComponent());
   pmsim::ThreadContext* ctx = pmsim::ThreadContext::Current();
   assert(ctx != nullptr);
-  // The GC context writes the free marker into headers that foreground
-  // workers wrote at activation. The epoch protocol synchronizes this (no
-  // appends land in the old epoch once every bn latch has cycled after the
-  // flip), but lockcheck cannot see epochs — only locks — so the second-party
-  // header write would read as an unlocked write.
-  pmsim::LockCheckExpect release_expect(pmsim::LockCheckClass::kUnlockedWrite);
   for (std::byte* base : chunks_[epoch]) {
     auto* header = reinterpret_cast<LogChunkHeader*>(base);
     header->state = kChunkFree;

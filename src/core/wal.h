@@ -27,6 +27,7 @@
 #include <memory>
 #include <vector>
 
+#include "src/common/lock.h"
 #include "src/pmem/log_arena.h"
 #include "src/pmsim/device.h"
 
@@ -63,8 +64,10 @@ uint8_t EntryChecksum(uint64_t key, uint64_t value);
 uint64_t MakeTsWord(uint32_t generation, uint64_t timestamp, uint64_t key, uint64_t value);
 bool EntryValid(const LogEntry& entry, uint32_t generation);
 
-// One worker's WAL. Not thread-safe: exactly one thread appends (that is the
-// point of per-thread logs).
+// One worker's WAL. Appends come from the owning worker and, during a
+// service-paced GC sweep, from the tree's GC context copying into the same
+// I-log on that worker's behalf (DESIGN.md §10); the uncontended mutex
+// orders the two, and lockcheck sees the ordering as a lock.
 class ThreadWal {
  public:
   ThreadWal(pmem::LogArena& arena, int worker_id) : arena_(&arena), worker_id_(worker_id) {
@@ -89,7 +92,10 @@ class ThreadWal {
   // free markers). Returns the number of payload bytes released.
   uint64_t ReleaseEpoch(int epoch);
 
-  uint64_t appended_bytes(int epoch) const { return appended_bytes_[epoch]; }
+  uint64_t appended_bytes(int epoch) const {
+    sync::LockGuard<sync::Mutex> guard(mu_);
+    return appended_bytes_[epoch];
+  }
 
  private:
   static constexpr size_t kChunkListReserve = 64;
@@ -100,13 +106,14 @@ class ThreadWal {
     uint32_t generation = 0;
   };
 
-  bool ActivateChunk(int epoch);
+  bool ActivateChunk(int epoch) REQUIRES(mu_);
 
+  mutable sync::Mutex mu_{"wal.thread"};
   pmem::LogArena* arena_;
   int worker_id_;
-  std::vector<std::byte*> chunks_[2];
-  ActiveChunk active_[2];
-  uint64_t appended_bytes_[2] = {0, 0};
+  std::vector<std::byte*> chunks_[2] GUARDED_BY(mu_);
+  ActiveChunk active_[2] GUARDED_BY(mu_);
+  uint64_t appended_bytes_[2] GUARDED_BY(mu_) = {0, 0};
 };
 
 // The set of per-worker WALs plus global byte accounting for the GC trigger.

@@ -68,6 +68,15 @@ class KvIndex {
   // indexes without background work keep the no-op default.
   virtual bool GcTick() { return false; }
 
+  // Bounded counterpart of GcTick for callers that pace GC themselves (the
+  // sharded service after each group-commit batch): advances the reclaimer
+  // by at most `budget` units of work, resuming where the previous step
+  // stopped. Returns true if a round finished. No-op by default.
+  virtual bool GcStep(uint64_t budget) {
+    (void)budget;
+    return false;
+  }
+
   // Observability hook: append (name, value) gauge samples describing the
   // index's current internal state (GC backlog, buffer churn, structural
   // counters). Pulled by the bench driver at virtual-time epoch boundaries —

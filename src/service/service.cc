@@ -6,8 +6,10 @@
 #include <utility>
 
 #include "src/bench/run_dump.h"
+#include "src/common/env.h"
 #include "src/metrics/metrics.h"
 #include "src/pmsim/thread_context.h"
+#include "src/trace/trace.h"
 
 namespace cclbt::service {
 
@@ -57,6 +59,9 @@ ShardedKvService::ShardedKvService(kvindex::Runtime& runtime, const ServiceConfi
     shard->stats.socket = shard->ctx->socket();
     bench::IndexConfig per_shard = config_.index_config;
     per_shard.tree.root_slot = s;  // shard i's persistent root -> app-root slot i
+    // GC is paced by the service (GcStep after each batch), not by the
+    // tree's own upsert quantum.
+    per_shard.tree.background_gc = false;
     trees_.push_back(bench::MakeIndex(config_.index, rt_, per_shard));
     shards_.push_back(std::move(shard));
   }
@@ -79,11 +84,16 @@ int ShardedKvService::shard_socket(int s) const {
 }
 
 void ShardedKvService::Warm(const OpenLoopConfig& workload) {
+  std::vector<size_t> since_step(shards_.size(), 0);
   for (uint64_t i = 0; i < workload.warm_keys; i++) {
     uint64_t key = ServiceWarmKey(i);
-    int s = ShardOf(key);
-    pmsim::ThreadContext::SetCurrent(shards_[static_cast<size_t>(s)]->ctx.get());
-    trees_[static_cast<size_t>(s)]->Upsert(key, ServiceValue(i));
+    auto s = static_cast<size_t>(ShardOf(key));
+    pmsim::ThreadContext::SetCurrent(shards_[s]->ctx.get());
+    trees_[s]->Upsert(key, ServiceValue(i));
+    if (++since_step[s] == config_.batch_ops) {
+      trees_[s]->GcStep(kGcStepEntriesPerUpsert * config_.batch_ops);
+      since_step[s] = 0;
+    }
   }
   pmsim::ThreadContext::SetCurrent(nullptr);
   // Zero the cost model (stats + every registered virtual clock) so Run()
@@ -99,6 +109,7 @@ void ShardedKvService::ServeBatch(int s, uint64_t start_ns, bool closed_loop) {
     ctx->ResetClock(start_ns);  // shard was idle until the head request arrived
   }
   batch_.clear();
+  uint64_t upserts = 0;
   // Only requests that have arrived by the batch start may ride in it (the
   // head always qualifies; later queue entries may still be in the future).
   while (batch_.size() < config_.batch_ops && !sh.queue.empty() &&
@@ -112,10 +123,12 @@ void ShardedKvService::ServeBatch(int s, uint64_t start_ns, bool closed_loop) {
       case OpType::kUpdate:
         ctx->stats_shard().AddUserBytes(kWriteUserBytes);
         tree.Upsert(req.key, req.value);
+        upserts++;
         break;
       case OpType::kDelete:
         ctx->stats_shard().AddUserBytes(kWriteUserBytes);
         tree.Remove(req.key);
+        upserts++;
         break;
       case OpType::kRead: {
         uint64_t value = 0;
@@ -143,10 +156,21 @@ void ShardedKvService::ServeBatch(int s, uint64_t start_ns, bool closed_loop) {
   sh.stats.completed += batch_.size();
   sh.stats.batches++;
   metrics::Add(metrics::Counter::kServiceBatches);
+  // GC after the ack: the step's PM traffic is charged to the tree's GC
+  // context, so it delays later batches only through DIMM contention.
+  trees_[static_cast<size_t>(s)]->GcStep(kGcStepEntriesPerUpsert * upserts);
 }
 
 ServiceResult ShardedKvService::Run(const OpenLoopConfig& workload) {
   const bool closed_loop = workload.offered_mops <= 0;
+  // CCL_TRACE=1: event rings cover this run only, as in the driver's
+  // measured phase; the dump carries them (and the heatmap, when the
+  // runtime's device records one).
+  const bool tracing = env::Get().trace;
+  if (tracing) {
+    trace::ClearRings();
+    trace::SetEnabled(true);
+  }
   metrics::Reset();
   metrics::SetEnabled(true);
   wall_sampler_ = {};
@@ -250,6 +274,10 @@ ServiceResult ShardedKvService::Run(const OpenLoopConfig& workload) {
       config_.label.empty() ? "service" : config_.label, rt_.device(),
       static_cast<uint64_t>(config_.shards), workload.ops, elapsed_ns, result.stats,
       result.epochs, result.metrics_snapshot);
+  if (tracing) {
+    trace::SetEnabled(false);
+    trace::ClearRings();
+  }
   return result;
 }
 

@@ -48,6 +48,12 @@
 
 namespace cclbt::service {
 
+// GC pacing: after each group-commit batch a shard advances its tree's GC
+// sweep by this many copied entries per upsert in the batch (KvIndex::GcStep).
+// An upsert appends at most one log entry, so a sweep copies at least twice
+// as fast as the log it has to cover grows.
+inline constexpr uint64_t kGcStepEntriesPerUpsert = 2;
+
 enum class Partition : uint8_t {
   kHash,   // scrambled-key modulo: uniform shard load for any key pattern
   kRange,  // contiguous key ranges: preserves cross-shard scan locality
@@ -116,8 +122,9 @@ class ShardedKvService {
   ShardedKvService& operator=(const ShardedKvService&) = delete;
 
   // Closed-loop warm fill: upserts keys [0, warm_keys) of `workload`'s key
-  // space directly into their shards (no queueing), then resets device cost
-  // accounting so Run() measures only the open-loop phase.
+  // space directly into their shards (no queueing), stepping each shard's GC
+  // once per batch_ops of its upserts as a batch would, then resets device
+  // cost accounting so Run() measures only the open-loop phase.
   void Warm(const OpenLoopConfig& workload);
 
   // Drives the arrival stream through the service to completion.
@@ -144,7 +151,8 @@ class ShardedKvService {
   };
 
   // Serves one group-commit batch on shard `s`, starting at virtual time
-  // `start_ns` (>= the shard clock; the gap is modeled idle waiting).
+  // `start_ns` (>= the shard clock; the gap is modeled idle waiting), then
+  // steps the shard tree's GC by the batch's upserts.
   void ServeBatch(int s, uint64_t start_ns, bool closed_loop);
 
   kvindex::Runtime& rt_;

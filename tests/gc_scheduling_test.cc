@@ -1,8 +1,9 @@
 // GC scheduling (DESIGN.md §10): deterministic virtual-time GC (the default)
 // runs rounds at reproducible points via the cooperative quantum and the
-// explicit GcTick() API; the legacy kOsThread escape hatch backs off on a
-// condition variable (no timed polling) and never starts before recovery is
-// settled. The kOsThread tests double as the TSan coverage of the real
+// explicit GcTick() API; GcStep() advances the same sweep by a bounded
+// number of copies and resumes where it stopped; the legacy kOsThread
+// escape hatch backs off on a condition variable (no timed polling) and
+// never starts before recovery is settled. The kOsThread tests double as the TSan coverage of the real
 // GC thread (tools/ci.sh includes this binary in the sanitizer presets).
 #include <chrono>
 #include <memory>
@@ -111,6 +112,87 @@ TEST(GcSchedulingTest, NaiveGcRaisesWorkerClocksToBarrierEnd) {
   InsertMany(tree, 2000, /*seed=*/4);
   ASSERT_TRUE(tree.GcTick());
   EXPECT_GE(ctx.now_ns(), tree.gc_vtime_ns());
+}
+
+// --- resumable locality-aware sweep (GcStep) ----------------------------------
+
+// A tree past its GC trigger with rounds paced only by explicit calls.
+std::unique_ptr<CclBTree> TriggeredTree(Runtime& rt) {
+  TreeOptions options = GcOptions();
+  options.background_gc = false;
+  auto tree = std::make_unique<CclBTree>(rt, options);
+  InsertMany(*tree, 2000, /*seed=*/6);
+  EXPECT_TRUE(tree->GcTriggerReached());
+  return tree;
+}
+
+TEST(GcSchedulingTest, GcStepCopiesAtMostItsBudget) {
+  auto rt = MakeRuntime();
+  pmsim::ThreadContext ctx(rt->device(), 0, 0);
+  auto tree = TriggeredTree(*rt);
+  for (uint64_t budget : {1, 3, 2}) {
+    uint64_t live_before = tree->log_live_bytes();
+    EXPECT_FALSE(tree->GcStep(budget)) << "budget " << budget;
+    // Nothing else appended in between: the growth is the step's copies.
+    EXPECT_EQ(tree->log_live_bytes() - live_before, budget * sizeof(LogEntry))
+        << "budget " << budget;
+  }
+  EXPECT_EQ(tree->gc_rounds(), 0u);
+}
+
+TEST(GcSchedulingTest, RepeatedGcStepsFinishTheRoundLikeAFullRound) {
+  auto rt = MakeRuntime();
+  pmsim::ThreadContext ctx(rt->device(), 0, 0);
+  uint64_t full_round_live = 0;
+  {
+    auto reference = TriggeredTree(*rt);
+    ASSERT_TRUE(reference->GcTick());
+    full_round_live = reference->log_live_bytes();
+  }
+  auto rt2 = MakeRuntime();
+  pmsim::ThreadContext ctx2(rt2->device(), 0, 0);
+  auto tree = TriggeredTree(*rt2);
+  uint64_t live_before = tree->log_live_bytes();
+  int steps = 1;
+  while (!tree->GcStep(2)) {
+    ASSERT_EQ(tree->gc_rounds(), 0u);
+    ASSERT_LT(++steps, 10'000) << "sweep never finished";
+  }
+  EXPECT_GT(steps, 1);
+  EXPECT_EQ(tree->gc_rounds(), 1u);
+  // The old B-log is released: what stays live is the I-log of copies, the
+  // same bytes a full round leaves.
+  EXPECT_LT(tree->log_live_bytes(), live_before);
+  EXPECT_EQ(tree->log_live_bytes(), full_round_live);
+  // The hysteresis floor is set: the copies alone keep the log over TH_log,
+  // yet no new sweep opens right away.
+  ASSERT_GT(tree->log_live_bytes() * 100,
+            tree->leaf_bytes() * static_cast<uint64_t>(GcOptions().th_log_pct));
+  EXPECT_FALSE(tree->GcTriggerReached());
+  EXPECT_FALSE(tree->GcStep(2));
+  EXPECT_EQ(tree->gc_rounds(), 1u);
+}
+
+TEST(GcSchedulingTest, GcTickMidSweepFinishesTheSweep) {
+  auto rt = MakeRuntime();
+  pmsim::ThreadContext ctx(rt->device(), 0, 0);
+  auto tree = TriggeredTree(*rt);
+  ASSERT_FALSE(tree->GcStep(2));  // opens the sweep
+  // Foreground writes between steps land in the new epoch's I-log.
+  InsertMany(*tree, 300, /*seed=*/1'000'000);
+  EXPECT_TRUE(tree->GcTick());
+  EXPECT_EQ(tree->gc_rounds(), 1u);
+  EXPECT_FALSE(tree->GcStep(2));
+  EXPECT_EQ(tree->gc_rounds(), 1u);
+  for (uint64_t seed : {6, 1'000'000}) {
+    uint64_t count = seed == 6 ? 2000 : 300;
+    for (uint64_t i = 0; i < count; i += 7) {
+      uint64_t value = 0;
+      ASSERT_TRUE(tree->Lookup(Mix64(seed + i) | 1, &value));
+      EXPECT_EQ(value, i + 1);
+    }
+  }
+  EXPECT_TRUE(tree->CheckInvariants());
 }
 
 // Lifecycle audit: a kAttach instance whose Recover() fails (pool was never

@@ -20,6 +20,9 @@
 #   * wins: the pairs in which B is better (BENCHMARK.json's "better").
 # Every metric the report marks "virtual" must be identical in all runs of
 # both arms (same seed); the report says so or names the metrics that moved.
+# A change that moves the virtual clock on purpose passes --virtual-moves:
+# then each arm must only agree with itself across its own runs, and the
+# report prints both arms' virtual end-to-end metrics side by side.
 # An A/A run gives the noise floor: its ratio spread is what a real change
 # has to clear.
 #
@@ -31,11 +34,12 @@
 #   --trace 0|1     run.py --trace (default 0)
 #   --metric M      extra ratio metric; repeatable
 #   --workdir DIR   sources, builds and results (default ${TMPDIR:-/tmp}/perf_ab)
+#   --virtual-moves the arms may differ in virtual metrics (see above)
 #   --dry-run       resolve revisions, print the plan, self-test the
 #                   statistics on canned data; builds and runs nothing
 #
-# Exit status: 0 when every run succeeded and the virtual metrics agree, 1
-# otherwise, 2 on bad usage.
+# Exit status: 0 when every run succeeded and the virtual metrics agree (per
+# arm with --virtual-moves), 1 otherwise, 2 on bad usage.
 set -euo pipefail
 
 ROOT="$(cd "$(dirname "$0")/.." && pwd)"
@@ -46,11 +50,12 @@ TRACE=0
 METRICS=(wall_kops setup_s)
 WORKDIR="${TMPDIR:-/tmp}/perf_ab"
 DRY_RUN=0
+VIRTUAL_MOVES=0
 AA=0
 REVS=()
 
 usage() {
-  sed -n '2,38p' "$0" | sed 's/^# \{0,1\}//' >&2
+  sed -n '2,42p' "$0" | sed 's/^# \{0,1\}//' >&2
   exit 2
 }
 
@@ -64,6 +69,7 @@ while [ $# -gt 0 ]; do
     --workdir) WORKDIR="$2"; shift 2 ;;
     --aa) AA=1; shift ;;
     --dry-run) DRY_RUN=1; shift ;;
+    --virtual-moves) VIRTUAL_MOVES=1; shift ;;
     -h|--help) usage ;;
     -*) echo "perf_ab: unknown option $1" >&2; usage ;;
     *) REVS+=("$1"); shift ;;
@@ -115,6 +121,45 @@ def summarize(pairs, better):
             "ratio_min": min(ratios, default=nan), "ratio_max": max(ratios, default=nan),
             "wins": wins, "pairs": len(pairs)}
 
+def virtual_check(a_runs, b_runs, end_to_end, allow_moves):
+    """Returns (ok, report lines). Virtual metrics must be identical in every
+    run of both arms or, with allow_moves, in every run of each arm; then
+    the arms' virtual end-to-end metrics are listed side by side."""
+    virtual = sorted({m for r in a_runs + b_runs for m, v in r["metrics"].items()
+                      if v["clock"] == "virtual"})
+
+    def moved(runs):
+        return [m for m in virtual
+                if len({repr(r["metrics"].get(m, {}).get("value")) for r in runs}) != 1]
+
+    if not allow_moves:
+        differ = moved(a_runs + b_runs)
+        if differ:
+            return False, ["virtual metrics DIFFER between runs: " + ", ".join(differ)]
+        return True, ["virtual metrics: identical in every run of both arms"]
+    ok = True
+    lines = []
+    for arm, runs in (("A", a_runs), ("B", b_runs)):
+        differ = moved(runs)
+        if differ:
+            ok = False
+            lines.append(f"virtual metrics DIFFER between runs of arm {arm}: " + ", ".join(differ))
+    if ok:
+        lines.append("virtual metrics: identical in every run of each arm")
+    lines.append(f"{'virtual end-to-end':28} {'A':>12} {'B':>12} {'B/A':>10}")
+    for m in end_to_end:
+        if m not in virtual:
+            continue
+        a = a_runs[0]["metrics"].get(m, {}).get("value")
+        b = b_runs[0]["metrics"].get(m, {}).get("value")
+        if a is None or b is None:
+            lines.append(f"{m:28} {'-' if a is None else f'{a:12.4g}':>12} "
+                         f"{'-' if b is None else f'{b:12.4g}':>12}")
+            continue
+        ratio = f"{b / a:10.4f}" if a != 0 else f"{'-':>10}"
+        lines.append(f"{m:28} {a:12.4g} {b:12.4g} {ratio}")
+    return ok, lines
+
 def self_test():
     s = summarize([(100.0, 130.0), (110.0, 121.0), (90.0, 126.0), (100.0, 100.0)], "higher")
     assert abs(s["ratio_median"] - 1.2) < 1e-9, s
@@ -122,6 +167,24 @@ def self_test():
     assert s["wins"] == 3 and s["median_a"] == 100.0 and s["median_b"] == 123.5, s
     assert abs(s["iqr_a"] - 5.0) < 1e-9, s
     assert summarize([(2.0, 1.0)], "lower")["wins"] == 1
+
+    def run(tail, wall):
+        return {"metrics": {"upsert_tail_us": {"value": tail, "clock": "virtual"},
+                            "wall_kops": {"value": wall, "clock": "wall"}}}
+    a_runs = [run(400.0, 800.0), run(400.0, 810.0)]
+    b_runs = [run(4.0, 790.0), run(4.0, 805.0)]
+    e2e = ["upsert_tail_us", "wall_kops"]
+    ok, lines = virtual_check(a_runs, b_runs, e2e, allow_moves=False)
+    assert not ok and "upsert_tail_us" in lines[0], lines
+    ok, lines = virtual_check(a_runs, b_runs, e2e, allow_moves=True)
+    assert ok, lines
+    row = [l for l in lines if l.startswith("upsert_tail_us")]
+    assert len(row) == 1 and row[0].split()[1:] == ["400", "4", "0.0100"], lines
+    assert not any(l.startswith("wall_kops") for l in lines), lines
+    ok, lines = virtual_check(a_runs, b_runs + [run(5.0, 800.0)], e2e, allow_moves=True)
+    assert not ok and "arm B: upsert_tail_us" in lines[0], lines
+    ok, lines = virtual_check(a_runs, a_runs, e2e, allow_moves=False)
+    assert ok, lines
     print("perf_ab: statistics self-test OK")
 
 def load_runs(results_dir, workload, arm):
@@ -133,10 +196,11 @@ def load_runs(results_dir, workload, arm):
         with open(path) as f:
             runs.append(json.load(f))
 
-def report(results_dir, workloads, metrics, bench_path):
+def report(results_dir, workloads, metrics, bench_path, allow_moves):
     with open(bench_path) as f:
         bench = json.load(f)
     better = {m["name"]: m["better"] for key in ("end_to_end", "per_layer") for m in bench[key]}
+    end_to_end = [m["name"] for m in bench["end_to_end"]]
     ok = True
     for w in workloads:
         a_runs = load_runs(results_dir, w, "A")
@@ -163,20 +227,17 @@ def report(results_dir, workloads, metrics, bench_path):
             wins = "-" if s["wins"] is None else f"{s['wins']}/{s['pairs']}"
             print(f"   {m:28} {s['median_a']:12.4g} {s['median_b']:12.4g} {s['iqr_a']:10.4g} "
                   f"{s['ratio_median']:10.4f} {s['ratio_min']:7.4f} {s['ratio_max']:7.4f}  {wins}")
-        moved = sorted(m for m, v in a_runs[0]["metrics"].items() if v["clock"] == "virtual" and
-                       len({repr(r["metrics"].get(m, {}).get("value")) for r in a_runs + b_runs}) != 1)
-        if moved:
-            print("   virtual metrics DIFFER between runs: " + ", ".join(moved))
-            ok = False
-        else:
-            print("   virtual metrics: identical in every run of both arms")
+        virtual_ok, lines = virtual_check(a_runs[:n], b_runs[:n], end_to_end, allow_moves)
+        for line in lines:
+            print("   " + line)
+        ok = ok and virtual_ok
     return ok
 
 if sys.argv[1] == "--self-test":
     self_test()
 else:
     sys.exit(0 if report(sys.argv[1], sys.argv[2].split(","), sys.argv[3].split(","),
-                         sys.argv[4]) else 1)
+                         sys.argv[4], sys.argv[5] == "1") else 1)
 EOF
 }
 
@@ -228,6 +289,8 @@ WORKLOAD_LIST="$(IFS=,; echo "${WORKLOADS[*]}")"
 echo "perf_ab: A=${REVS[0]} (${SHA_A:0:12}) B=${REVS[1]} (${SHA_B:0:12})$([ "${AA}" = 1 ] && echo ' [A/A]')"
 echo "perf_ab: workloads ${WORKLOAD_LIST}; ${PAIRS} pairs; --seconds ${RUN_SECONDS} --seed ${SEED} --trace ${TRACE}"
 echo "perf_ab: ratio metrics ${METRIC_LIST}; workdir ${WORKDIR}"
+[ "${VIRTUAL_MOVES}" = 0 ] ||
+  echo "perf_ab: --virtual-moves: virtual metrics must agree within each arm only"
 
 if [ "${DRY_RUN}" = 1 ]; then
   for ((i = 0; i < PAIRS; i++)); do
@@ -258,7 +321,7 @@ for w in "${WORKLOADS[@]}"; do
   done
 done
 
-stats "${RESULTS}" "${WORKLOAD_LIST}" "${METRIC_LIST}" "${ROOT}/BENCHMARK.json" |
+stats "${RESULTS}" "${WORKLOAD_LIST}" "${METRIC_LIST}" "${ROOT}/BENCHMARK.json" "${VIRTUAL_MOVES}" |
   tee "${RESULTS}/summary.txt" || status=1
 echo "perf_ab: results in ${RESULTS}"
 exit "${status}"
